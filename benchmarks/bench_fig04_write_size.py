@@ -8,11 +8,13 @@ log buffer, Section II-E).
 from conftest import run_once
 
 from repro.harness import fig4
+from repro.harness.experiments import run_experiment
 
 
 def test_fig4_write_sizes(benchmark, bench_tx):
     result = run_once(
-        benchmark, lambda: fig4.run(threads=2, transactions=bench_tx)
+        benchmark,
+        lambda: run_experiment(fig4.SPEC, threads=2, transactions=bench_tx),
     )
     print()
     print(result.format_report())

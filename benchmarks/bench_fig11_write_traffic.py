@@ -10,6 +10,7 @@ import pytest
 from conftest import run_once
 
 from repro.harness import fig11
+from repro.harness.experiments import run_experiment
 
 
 def _average(norm):
@@ -20,7 +21,9 @@ def _average(norm):
 def test_fig11_write_traffic(benchmark, bench_tx, cores):
     result = run_once(
         benchmark,
-        lambda: fig11.run(core_counts=(cores,), transactions=bench_tx),
+        lambda: run_experiment(
+            fig11.SPEC, core_counts=(cores,), transactions=bench_tx
+        ),
     )
     print()
     print(result.format_report())

@@ -8,13 +8,17 @@ drop at 128 cycles).
 from conftest import run_once
 
 from repro.harness import fig15
+from repro.harness.experiments import run_experiment
 
 
 def test_fig15_buffer_latency_insensitive(benchmark, bench_tx):
     result = run_once(
         benchmark,
-        lambda: fig15.run(
-            threads=4, transactions=bench_tx, latencies=(8, 32, 64, 96, 128)
+        lambda: run_experiment(
+            fig15.SPEC,
+            threads=4,
+            transactions=bench_tx,
+            latencies=(8, 32, 64, 96, 128),
         ),
     )
     print()

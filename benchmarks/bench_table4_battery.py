@@ -9,10 +9,11 @@ import pytest
 from conftest import run_once
 
 from repro.harness import table1, table4
+from repro.harness.experiments import run_experiment
 
 
 def test_table4_battery_requirements(benchmark):
-    result = run_once(benchmark, table4.run)
+    result = run_once(benchmark, lambda: run_experiment(table4.SPEC))
     print()
     print(result.format_report())
 
@@ -26,7 +27,7 @@ def test_table4_battery_requirements(benchmark):
 
 
 def test_table1_hardware_overhead(benchmark):
-    result = run_once(benchmark, table1.run)
+    result = run_once(benchmark, lambda: run_experiment(table1.SPEC))
     print()
     print(result.format_report())
     assert "680B" in result.rows["Log buffer"]

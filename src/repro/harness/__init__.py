@@ -1,50 +1,14 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Every study is an :class:`~repro.harness.experiments.ExperimentSpec`
-registered in :data:`~repro.harness.experiments.REGISTRY` and run by the
-generic campaign engine (``silo-repro exp list|run``).  Each module
-still exposes its historical ``run(...) -> <Result dataclass>`` API
-returning the raw numbers plus a ``format_report`` helper that prints
-the same rows or series the paper reports.  The CLI (``silo-repro``)
-and the ``benchmarks/`` suite are thin wrappers around these.
+declared as ``SPEC`` in its catalog module (``fig4``, ``fig11`` …
+``catalog``) and registered in
+:data:`~repro.harness.experiments.REGISTRY`.  There is one way to run
+a study: ``silo-repro exp run <name> [--set key=value]`` on the command
+line, or ``run_experiment(<module>.SPEC, **params)`` from Python; both
+go through the generic campaign engine.
+
+This package imports nothing on its own, so importing one submodule
+(``from repro.harness.executor import Executor``) costs only that
+submodule and its dependencies.
 """
-
-from repro.harness.runner import GridResult, normalize_to, run_grid
-from repro.harness import (
-    bench,
-    crashtest,
-    experiments,
-    faultsweep,
-    fig4,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    mcsweep,
-    recovery_cost,
-    replay,
-    table1,
-    table4,
-)
-
-__all__ = [
-    "GridResult",
-    "normalize_to",
-    "run_grid",
-    "bench",
-    "crashtest",
-    "experiments",
-    "faultsweep",
-    "fig4",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "mcsweep",
-    "recovery_cost",
-    "replay",
-    "table1",
-    "table4",
-]

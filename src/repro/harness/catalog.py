@@ -18,10 +18,10 @@ three policy axes, straight from its :class:`DesignSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.designs.scheme import SchemeRegistry
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
@@ -29,7 +29,6 @@ from repro.harness.experiments import (
     TableData,
     TabularResult,
     grids_from_campaign,
-    run_experiment,
 )
 from repro.harness.runner import DEFAULT_TRANSACTIONS, DEFAULT_WORKLOADS
 
@@ -142,21 +141,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    core_counts: Sequence[int] = (1, 4),
-    schemes: Sequence[str] = ALL_DESIGNS,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    executor: Optional[Executor] = None,
-) -> CatalogResult:
-    """Run the full-catalog grid as one executor campaign."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        core_counts=tuple(core_counts),
-        schemes=tuple(schemes),
-        workloads=tuple(workloads),
-        transactions=transactions,
-    )

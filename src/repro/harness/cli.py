@@ -1,19 +1,27 @@
 """Command-line entry point: regenerate any table or figure.
 
-Examples::
+Every registered study (Fig. 4, Figs. 11-15, Tables I and IV, plus the
+``mcsweep``, ``recovery_cost`` and ``catalog`` extensions) runs through
+``silo-repro exp``; the other subcommands are the validation,
+benchmark and maintenance tools.  Examples::
 
     silo-repro exp list                  # the declarative registry
     silo-repro exp run fig11             # paper-sized campaign
     silo-repro exp run fig12 --smoke     # CI-sized campaign
     silo-repro exp run --all --smoke --jobs 2
     silo-repro exp run fig14 --set transactions=80 --json
-    silo-repro fig4
-    silo-repro fig11 --cores 1 8 --transactions 300
-    silo-repro fig12 --jobs 8            # fan cells across 8 processes
-    silo-repro fig12                     # re-run: served from .repro-cache/
-    silo-repro fig13 --no-cache
-    silo-repro fig15 --fresh             # recompute, refresh the cache
-    silo-repro all --jobs 8
+    silo-repro exp run fig11 --set 'core_counts=(1,8)' --set transactions=300
+    silo-repro exp run fig12 --jobs 8    # fan cells across 8 processes
+    silo-repro exp run fig12             # re-run: served from .repro-cache/
+    silo-repro exp run fig13 --no-cache
+    silo-repro exp run fig15 --fresh     # recompute, refresh the cache
+    silo-repro exp run --all --jobs 8
+    silo-repro bench --smoke
+    silo-repro crashtest --crash-points 3
+    silo-repro faultsweep --smoke --jobs 2
+    silo-repro litmus --smoke --jobs 2
+    silo-repro trace --scheme all
+    silo-repro chaos --smoke --jobs 2
     silo-repro cache stats
     silo-repro cache clear
 
@@ -25,7 +33,7 @@ malformed flags), 3 when a ``--partial`` run completed with holes
 was interrupted (SIGINT) and drained gracefully — its journal is
 flushed and ``--resume`` continues where it stopped.
 
-Every experiment fans its (workload x scheme x cores x config) cells
+Every campaign fans its (workload x scheme x cores x config) cells
 out through :class:`repro.harness.executor.Executor`: ``--jobs N``
 worker processes (default: all CPUs; ``--jobs 1`` is the serial
 in-process path) over the content-addressed result cache in
@@ -43,29 +51,12 @@ import ast
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro import __version__
 from repro.common.errors import ConfigError, ExecutionError
-from repro.harness import (
-    bench,
-    catalog,
-    crashtest,
-    faultsweep,
-    fig4,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    litmus,
-    mcsweep,
-    recovery_cost,
-    replay,
-    table1,
-    table4,
-    tracecmd,
-)
+from repro.harness import bench, crashtest, faultsweep, litmus, replay, tracecmd
 from repro.harness.executor import CampaignInterrupted, Executor, spec_key
 from repro.harness.experiments import load_all, render, run_campaign
 from repro.harness.experiments.engine import PartialCampaignResult
@@ -116,33 +107,6 @@ _EXPERIMENTS = {
         executor=ex,
         output=args.litmus_output,
     ),
-    "mcsweep": lambda args, ex: mcsweep.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "catalog": lambda args, ex: catalog.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "recovery": lambda args, ex: recovery_cost.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "fig4": lambda args, ex: fig4.run(transactions=args.transactions, executor=ex),
-    "fig11": lambda args, ex: fig11.run(
-        core_counts=tuple(args.cores), transactions=args.transactions, executor=ex
-    ),
-    "fig12": lambda args, ex: fig12.run(
-        core_counts=tuple(args.cores), transactions=args.transactions, executor=ex
-    ),
-    "fig13": lambda args, ex: fig13.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "fig14": lambda args, ex: fig14.run(
-        transactions=min(args.transactions, 150), executor=ex
-    ),
-    "fig15": lambda args, ex: fig15.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "table1": lambda args, ex: table1.run(),
-    "table4": lambda args, ex: table4.run(),
     "trace": lambda args, ex: tracecmd.run(
         scheme=args.scheme,
         workload=args.workload,
@@ -156,19 +120,22 @@ _EXPERIMENTS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silo-repro",
-        description="Regenerate the tables and figures of the Silo paper "
-        "(HPCA 2023) on the trace-driven simulator.",
+        description="Reproduce the Silo paper (HPCA 2023) on the "
+        "trace-driven simulator.  'silo-repro exp list|run' regenerates "
+        "its tables and figures; the commands below validate, benchmark "
+        "and maintain the simulator.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all", "cache", "chaos", "replay"],
-        help="which table/figure to regenerate, 'cache' to manage the "
-        "result cache, 'chaos' to self-test the execution layer under "
-        "injected faults, or 'replay' to re-run one failed cell from "
-        "its --spec JSON",
+        choices=sorted(_EXPERIMENTS) + ["cache", "chaos", "replay"],
+        help="which tool to run ('exp' runs the registered studies: see "
+        "'silo-repro exp --help'), 'cache' to manage the result cache, "
+        "'chaos' to self-test the execution layer under injected "
+        "faults, or 'replay' to re-run one failed cell from its --spec "
+        "JSON",
     )
     parser.add_argument(
         "action",
@@ -180,15 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--transactions",
         type=int,
         default=200,
-        help="transactions per thread (default 200; the paper used 10k "
-        "on Gem5 — ratios stabilize far earlier in this simulator)",
-    )
-    parser.add_argument(
-        "--cores",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4, 8],
-        help="core counts for fig11/fig12 (default: 1 2 4 8)",
+        help="trace only: transactions per thread, capped at 100 "
+        "(default 200)",
     )
     parser.add_argument(
         "--crash-points",
@@ -617,6 +577,9 @@ def _exp_run(args) -> int:
         journal = _campaign_journal(args, campaign_key)
         executor.journal = journal
         started = time.time()
+        # The executor is shared across studies and its stats are
+        # lifetime totals; the footer reports this study's share.
+        before = replace(executor.stats)
         try:
             result, campaign = run_campaign(
                 spec,
@@ -651,14 +614,14 @@ def _exp_run(args) -> int:
         print(render(result, args.fmt))
         if args.fmt == "report":
             stats = executor.stats
+            journal_hits = stats.journal_hits - before.journal_hits
             journal_text = (
-                f", {stats.journal_hits} journal-served"
-                if stats.journal_hits
-                else ""
+                f", {journal_hits} journal-served" if journal_hits else ""
             )
             print(
                 f"[{spec.name} completed in {time.time() - started:.1f}s; "
-                f"campaign: {stats.cells} cells, {stats.cache_hits} cached"
+                f"campaign: {stats.cells - before.cells} cells, "
+                f"{stats.cache_hits - before.cache_hits} cached"
                 f"{journal_text}, {executor.jobs} jobs]\n"
             )
     if args.fmt == "json" and json_docs:
@@ -758,50 +721,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         cell_timeout=cell_timeout,
         retries=args.retries,
     )
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    failures = 0
-    for name in names:
-        journal = None
-        if name in ("faultsweep", "litmus") and cache is not None:
-            campaign_key = (
-                f"faultsweep|seed={args.seed}|points={args.crash_points}"
-                f"|smoke={args.smoke}"
-                if name == "faultsweep"
-                else f"litmus|smoke={args.smoke}"
-            )
-            try:
-                journal = _campaign_journal(args, campaign_key)
-            except ConfigError as exc:
-                print(f"silo-repro: error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        executor.journal = journal
-        started = time.time()
+    name = args.experiment
+    journal = None
+    if name in ("faultsweep", "litmus") and cache is not None:
+        campaign_key = (
+            f"faultsweep|seed={args.seed}|points={args.crash_points}"
+            f"|smoke={args.smoke}"
+            if name == "faultsweep"
+            else f"litmus|smoke={args.smoke}"
+        )
         try:
-            result = _EXPERIMENTS[name](args, executor)
-        except CampaignInterrupted as exc:
-            return _report_interrupted(exc, name)
-        except ExecutionError as exc:
-            print(f"[{name} FAILED]\n{exc}", file=sys.stderr)
-            failures += 1
-            continue
+            journal = _campaign_journal(args, campaign_key)
         except ConfigError as exc:
             print(f"silo-repro: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if journal is not None:
-            journal.discard()
-        print(result.format_report())
-        if getattr(result, "passed", True) is False:
-            # Validation sweeps (crashtest/faultsweep) fail the run on
-            # oracle violations, not only on raised cells.
-            print(f"[{name} FAILED: oracle violations]", file=sys.stderr)
-            failures += 1
-        stats = executor.stats
-        print(
-            f"[{name} completed in {time.time() - started:.1f}s; "
-            f"campaign: {stats.cells} cells, {stats.cache_hits} cached, "
-            f"{executor.jobs} jobs]\n"
-        )
-    return EXIT_FAILURE if failures else EXIT_OK
+    executor.journal = journal
+    started = time.time()
+    try:
+        result = _EXPERIMENTS[name](args, executor)
+    except CampaignInterrupted as exc:
+        return _report_interrupted(exc, name)
+    except ExecutionError as exc:
+        print(f"[{name} FAILED]\n{exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except ConfigError as exc:
+        print(f"silo-repro: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if journal is not None:
+        journal.discard()
+    print(result.format_report())
+    # Validation sweeps (crashtest/faultsweep) fail the run on oracle
+    # violations, not only on raised cells.
+    passed = getattr(result, "passed", True) is not False
+    if not passed:
+        print(f"[{name} FAILED: oracle violations]", file=sys.stderr)
+    stats = executor.stats
+    print(
+        f"[{name} completed in {time.time() - started:.1f}s; "
+        f"campaign: {stats.cells} cells, {stats.cache_hits} cached, "
+        f"{executor.jobs} jobs]\n"
+    )
+    return EXIT_OK if passed else EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ One code path lowers any :class:`~repro.harness.experiments.spec
 .ExperimentSpec` to executor cells, fans them through the shared
 :class:`~repro.harness.executor.Executor` (content-addressed cache,
 ``--jobs`` parallelism, per-worker trace memo and failure isolation
-all preserved) and assembles the study's result object.  The ten
+all preserved) and assembles the study's result object.  The
 registered studies differ only in their declarations — none carries
-grid-construction or fan-out code of its own anymore.
+grid-construction or fan-out code of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.harness.executor import (
     raise_on_failures,
     repro_command,
 )
+from repro.harness.experiments.presentation import GridResult
 from repro.harness.experiments.spec import Axis, Campaign, ExperimentSpec, Point
 from repro.obs import ObsConfig
 
@@ -200,16 +201,20 @@ def run_experiment(
     smoke: bool = False,
     **overrides: Any,
 ) -> Any:
-    """Run one experiment and return only its result object (the
-    historical ``<module>.run()`` contract)."""
+    """Run one experiment and return only its result object.
+
+    The Python face of ``silo-repro exp run``: ``overrides`` are spec
+    parameters, exactly as ``--set key=value`` takes them, e.g.
+    ``run_experiment(fig12.SPEC, core_counts=(1,), transactions=15)``.
+    Parameters the call leaves out take the spec's defaults (its smoke
+    defaults with ``smoke=True``); an unknown name is a ConfigError.
+    """
     return run_campaign(spec, executor=executor, smoke=smoke, **overrides)[0]
 
 
-def grids_from_campaign(campaign: Campaign) -> Dict[int, "Any"]:
+def grids_from_campaign(campaign: Campaign) -> Dict[int, GridResult]:
     """Reassemble ``{cores: GridResult}`` from a (cores, workload,
     scheme) campaign — the fig11/fig12 shape."""
-    from repro.harness.runner import GridResult
-
     grids: Dict[int, GridResult] = {}
     for point, outcome in campaign.cells():
         grid = grids.setdefault(point["cores"], GridResult(cores=point["cores"]))

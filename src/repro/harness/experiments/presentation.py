@@ -12,22 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    ClassVar,
-    Dict,
-    List,
-    Mapping,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.harness.report import format_bars, format_grouped_bars, format_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.runner import GridResult
+from repro.sim.results import RunResult
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +204,28 @@ def format_phase_table(phases: Mapping[str, int]) -> List[List[object]]:
 # ----------------------------------------------------------------------
 # Normalization helpers (the one copy)
 # ----------------------------------------------------------------------
+@dataclass
+class GridResult:
+    """Results of a (workload, scheme) grid at one core count."""
+
+    cores: int
+    #: ``results[workload][scheme]``
+    results: Dict[str, Dict[str, RunResult]] = field(default_factory=dict)
+
+    def metric(self, workload: str, scheme: str, name: str) -> float:
+        result = self.results[workload][scheme]
+        return float(getattr(result, name))
+
+    def workloads(self) -> List[str]:
+        return list(self.results)
+
+    def schemes(self) -> List[str]:
+        first = next(iter(self.results.values()))
+        return list(first)
+
+
 def normalize_to(
-    grid: "GridResult", metric: str, baseline: str = "base"
+    grid: GridResult, metric: str, baseline: str = "base"
 ) -> Dict[str, Dict[str, float]]:
     """``{workload: {scheme: metric / metric(baseline)}}``."""
     out: Dict[str, Dict[str, float]] = {}
@@ -260,8 +270,8 @@ def normalized_table(
     schemes: Sequence[str],
     title: str,
 ) -> TableData:
-    """The ``{workload: {scheme: value}}`` table in plotting order —
-    the structured twin of :func:`repro.harness.report.format_normalized`."""
+    """The ``{workload: {scheme: value}}`` table in plotting order; a
+    scheme missing from a row reads ``n/a``."""
     rows = [
         [workload] + [per_scheme.get(scheme, float("nan")) for scheme in schemes]
         for workload, per_scheme in normalized.items()
@@ -277,7 +287,7 @@ class NormalizedGridsResult(TabularResult):
     to carry copy-pasted bodies of everything below).
     """
 
-    grids: Dict[int, "GridResult"]
+    grids: Dict[int, GridResult]
 
     metric: ClassVar[str] = ""
     report_title: ClassVar[str] = ""

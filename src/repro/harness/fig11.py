@@ -9,16 +9,13 @@ word-granular in-place updates in the on-PM buffer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     NormalizedGridsResult,
     grids_from_campaign,
-    run_experiment,
 )
 from repro.harness.runner import (
     DEFAULT_SCHEMES,
@@ -67,21 +64,3 @@ SPEC = REGISTRY.register(
         assemble=lambda p, c: Fig11Result(grids=grids_from_campaign(c)),
     )
 )
-
-
-def run(
-    core_counts: Sequence[int] = (1, 2, 4, 8),
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    executor: Optional[Executor] = None,
-) -> Fig11Result:
-    """Run the full write-traffic grid as one executor campaign."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        core_counts=tuple(core_counts),
-        schemes=tuple(schemes),
-        workloads=tuple(workloads),
-        transactions=transactions,
-    )

@@ -16,9 +16,9 @@ thanks to locality/merging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
@@ -26,7 +26,6 @@ from repro.harness.experiments import (
     TableData,
     TabularResult,
     normalize_series,
-    run_experiment,
 )
 
 FIG14_WORKLOADS: Tuple[str, ...] = (
@@ -128,21 +127,3 @@ SPEC = REGISTRY.register(
         assemble=_assemble,
     )
 )
-
-
-def run(
-    threads: int = 8,
-    transactions: int = 100,
-    workloads: Sequence[str] = FIG14_WORKLOADS,
-    multipliers: Sequence[int] = MULTIPLIERS,
-    executor: Optional[Executor] = None,
-) -> Fig14Result:
-    """Run the large-transaction sweep on Silo."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        threads=threads,
-        transactions=transactions,
-        workloads=tuple(workloads),
-        multipliers=tuple(multipliers),
-    )

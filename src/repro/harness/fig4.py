@@ -9,17 +9,16 @@ sets, so a 20-entry on-chip log buffer suffices (Section II-E).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.common.errors import ConfigError
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
 from repro.workloads.registry import FIG4_WORKLOADS
 
@@ -80,19 +79,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    threads: int = 2,
-    transactions: int = 300,
-    workloads: Sequence[str] = tuple(FIG4_WORKLOADS),
-    executor: Optional[Executor] = None,
-) -> Fig4Result:
-    """Measure the mean write size of every Fig. 4 workload."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        threads=threads,
-        transactions=transactions,
-        workloads=tuple(workloads),
-    )

@@ -40,20 +40,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def format_normalized(
-    normalized: Mapping[str, Mapping[str, float]],
-    schemes: Sequence[str],
-    title: str,
-    value_label: str = "normalized",
-) -> str:
-    """Render a ``{workload: {scheme: value}}`` table in plotting order."""
-    rows = [
-        [workload] + [per_scheme.get(scheme, float("nan")) for scheme in schemes]
-        for workload, per_scheme in normalized.items()
-    ]
-    return format_table(["workload"] + list(schemes), rows, title=title)
-
-
 def format_bars(
     values: Mapping[str, float],
     title: str = "",

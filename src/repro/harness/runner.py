@@ -1,34 +1,12 @@
-"""Shared experiment plumbing: run (scheme x workload x cores) grids.
+"""The paper's default evaluation grid: designs, benchmarks, size.
 
-All grid runners fan their cells out through
-:class:`repro.harness.executor.Executor`; pass ``executor=`` to run in
-parallel and/or against the on-disk result cache.  The default is the
-serial in-process path with no caching, which is bit-identical to the
-historical behaviour (one trace built per workload, replayed under
-every scheme).
+The grid studies (``fig11``, ``fig12``, ``fig13``, ``catalog``) declare
+their default parameters from these constants; run any of them with
+``silo-repro exp run <name>`` or
+``run_experiment(<module>.SPEC, **params)``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.common.config import SystemConfig
-from repro.designs.scheme import SchemeRegistry
-from repro.harness.executor import (
-    CellSpec,
-    Executor,
-    WorkloadSpec,
-    raise_on_failures,
-)
-# The canonical normalization helpers live in the shared presentation
-# layer; this import keeps the historical public path working
-# (``from repro.harness.runner import normalize_to, add_average``).
-from repro.harness.experiments.presentation import add_average, normalize_to  # noqa: F401
-from repro.sim.engine import TransactionEngine
-from repro.sim.results import RunResult
-from repro.sim.system import System
-from repro.trace.trace import Trace
+from typing import Tuple
 
 #: The evaluated designs, in the paper's plotting order.
 DEFAULT_SCHEMES: Tuple[str, ...] = ("base", "fwb", "morlog", "lad", "silo")
@@ -47,90 +25,3 @@ DEFAULT_WORKLOADS: Tuple[str, ...] = (
 #: Default transactions per thread: large enough for stable ratios,
 #: small enough that the full grid runs in minutes of Python.
 DEFAULT_TRANSACTIONS = 200
-
-
-@dataclass
-class GridResult:
-    """Results of a (workload, scheme) grid at one core count."""
-
-    cores: int
-    #: ``results[workload][scheme]``
-    results: Dict[str, Dict[str, RunResult]] = field(default_factory=dict)
-
-    def metric(self, workload: str, scheme: str, name: str) -> float:
-        result = self.results[workload][scheme]
-        return float(getattr(result, name))
-
-    def workloads(self) -> List[str]:
-        return list(self.results)
-
-    def schemes(self) -> List[str]:
-        first = next(iter(self.results.values()))
-        return list(first)
-
-
-def run_single(
-    trace: Trace, scheme: str, cores: int, config: Optional[SystemConfig] = None
-) -> RunResult:
-    """Run one trace under one scheme on a fresh system."""
-    system = System(config if config is not None else SystemConfig.table2(cores))
-    scheme_obj = SchemeRegistry.create(scheme, system)
-    return TransactionEngine(system, scheme_obj, trace).run()
-
-
-def run_grid(
-    cores: int,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    config: Optional[SystemConfig] = None,
-    executor: Optional[Executor] = None,
-    **workload_kwargs,
-) -> GridResult:
-    """Run every (workload, scheme) pair at one core count.
-
-    One trace is built per (workload, cores, transactions) and
-    replayed read-only under each scheme so all designs see identical
-    operation streams (the executor's per-process trace memo).
-    """
-    return run_grids(
-        (cores,), schemes, workloads, transactions, config, executor, **workload_kwargs
-    )[cores]
-
-
-def run_grids(
-    core_counts: Sequence[int],
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    config: Optional[SystemConfig] = None,
-    executor: Optional[Executor] = None,
-    **workload_kwargs,
-) -> Dict[int, GridResult]:
-    """Run the full (cores x workload x scheme) campaign in one fan-out.
-
-    Submitting every core count's grid as a single cell list keeps all
-    workers busy across the whole campaign instead of barriering at
-    each core count (fig11/fig12 run 4 x 35 cells this way).
-    """
-    cells: List[CellSpec] = []
-    for cores in core_counts:
-        for workload in workloads:
-            spec = WorkloadSpec.make(
-                workload, threads=cores, transactions=transactions, **workload_kwargs
-            )
-            for scheme in schemes:
-                cells.append(
-                    CellSpec(workload=spec, scheme=scheme, cores=cores, config=config)
-                )
-    outcomes = (executor if executor is not None else Executor(jobs=1)).run(cells)
-    raise_on_failures(outcomes)
-
-    grids: Dict[int, GridResult] = {}
-    at = iter(outcomes)
-    for cores in core_counts:
-        grid = GridResult(cores=cores)
-        for workload in workloads:
-            grid.results[workload] = {scheme: next(at).result for scheme in schemes}
-        grids[cores] = grid
-    return grids

@@ -16,7 +16,8 @@ from repro.sim.system import System
 from repro.sim.verify import check_atomic_durability
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
-ALL_SCHEMES = ("base", "fwb", "morlog", "lad", "silo")
+#: Every registered design, a future one included.
+ALL_SCHEMES = tuple(SchemeRegistry.names())
 
 
 def make_trace(write_set=8):

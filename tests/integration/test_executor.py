@@ -23,8 +23,9 @@ from repro.harness.executor import (
     run_cells,
     spec_key,
 )
+from repro.harness import fig12
+from repro.harness.experiments import run_campaign
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import run_grid
 from repro.sim.crash import CrashPlan
 
 
@@ -59,15 +60,19 @@ class TestEquivalence:
             assert s.result.committed == p.result.committed
             assert s.result.stats.as_dict() == p.result.stats.as_dict()
 
-    def test_grid_identical_under_parallel_executor(self):
+    def test_campaign_identical_under_parallel_executor(self):
         kwargs = dict(
-            cores=2, schemes=("base", "silo"), workloads=("hash",), transactions=10
+            core_counts=(2,),
+            schemes=("base", "silo"),
+            workloads=("hash",),
+            transactions=10,
         )
-        serial = run_grid(**kwargs)
-        parallel = run_grid(executor=Executor(jobs=3), **kwargs)
+        serial, _ = run_campaign(fig12.SPEC, executor=Executor(jobs=1), **kwargs)
+        with Executor(jobs=3) as executor:
+            parallel, _ = run_campaign(fig12.SPEC, executor=executor, **kwargs)
         for scheme in ("base", "silo"):
-            a = serial.results["hash"][scheme]
-            b = parallel.results["hash"][scheme]
+            a = serial.grids[2].results["hash"][scheme]
+            b = parallel.grids[2].results["hash"][scheme]
             assert a.end_cycle == b.end_cycle
             assert a.stats.as_dict() == b.stats.as_dict()
 

@@ -1,7 +1,8 @@
 """Golden equality tests for the experiment registry port.
 
 The ten per-figure harness modules were captured *before* being ported
-onto :mod:`repro.harness.experiments` (``python
+onto :mod:`repro.harness.experiments`; every capture now runs through
+``run_experiment(<module>.SPEC, ...)`` (``python
 tests/integration/test_exp_golden.py capture`` regenerates the files
 under ``tests/data/golden/``).  Every migrated experiment must keep
 producing byte-identical reports and metric values: the simulator is
@@ -14,6 +15,8 @@ import os
 
 import pytest
 
+from repro.harness.experiments import run_experiment
+
 GOLDEN_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "data", "golden"
 )
@@ -22,14 +25,17 @@ GOLDEN_DIR = os.path.join(
 def _fig4():
     from repro.harness import fig4
 
-    result = fig4.run(threads=1, transactions=20, workloads=("hash", "bank", "tatp"))
+    result = run_experiment(
+        fig4.SPEC, threads=1, transactions=20, workloads=("hash", "bank", "tatp")
+    )
     return result, {"write_sizes": result.write_sizes, "average": result.average}
 
 
 def _fig11():
     from repro.harness import fig11
 
-    result = fig11.run(
+    result = run_experiment(
+        fig11.SPEC,
         core_counts=(1, 2),
         schemes=("base", "fwb", "silo"),
         workloads=("hash", "queue"),
@@ -44,7 +50,8 @@ def _fig11():
 def _fig12():
     from repro.harness import fig12
 
-    result = fig12.run(
+    result = run_experiment(
+        fig12.SPEC,
         core_counts=(1, 2),
         schemes=("base", "fwb", "silo"),
         workloads=("hash", "queue"),
@@ -59,7 +66,9 @@ def _fig12():
 def _fig13():
     from repro.harness import fig13
 
-    result = fig13.run(threads=1, transactions=15, workloads=("array", "hash"))
+    result = run_experiment(
+        fig13.SPEC, threads=1, transactions=15, workloads=("array", "hash")
+    )
     return result, {
         "counts": {
             name: [c.mean_total, c.mean_remaining, c.max_remaining, c.reduction]
@@ -73,8 +82,12 @@ def _fig13():
 def _fig14():
     from repro.harness import fig14
 
-    result = fig14.run(
-        threads=1, transactions=10, workloads=("hash", "queue"), multipliers=(1, 2, 4)
+    result = run_experiment(
+        fig14.SPEC,
+        threads=1,
+        transactions=10,
+        workloads=("hash", "queue"),
+        multipliers=(1, 2, 4),
     )
     return result, {
         "throughput": result.throughput,
@@ -86,8 +99,12 @@ def _fig14():
 def _fig15():
     from repro.harness import fig15
 
-    result = fig15.run(
-        threads=1, transactions=15, workloads=("hash",), latencies=(8, 32, 64)
+    result = run_experiment(
+        fig15.SPEC,
+        threads=1,
+        transactions=15,
+        workloads=("hash",),
+        latencies=(8, 32, 64),
     )
     return result, {
         "throughput": result.throughput,
@@ -99,14 +116,14 @@ def _fig15():
 def _table1():
     from repro.harness import table1
 
-    result = table1.run()
+    result = run_experiment(table1.SPEC)
     return result, {"rows": result.rows}
 
 
 def _table4():
     from repro.harness import table4
 
-    result = table4.run()
+    result = run_experiment(table4.SPEC)
     return result, {
         "rows": {
             name: [
@@ -125,8 +142,12 @@ def _table4():
 def _mcsweep():
     from repro.harness import mcsweep
 
-    result = mcsweep.run(
-        threads=2, transactions=30, workloads=("hash", "queue"), channels=(1, 2)
+    result = run_experiment(
+        mcsweep.SPEC,
+        threads=2,
+        transactions=30,
+        workloads=("hash", "queue"),
+        channels=(1, 2),
     )
     return result, {
         "speedup": result.speedup,
@@ -138,7 +159,9 @@ def _mcsweep():
 def _recovery_cost():
     from repro.harness import recovery_cost
 
-    result = recovery_cost.run(workload="hash", threads=2, transactions=40)
+    result = run_experiment(
+        recovery_cost.SPEC, workload="hash", threads=2, transactions=40
+    )
     return result, {
         "workload": result.workload,
         "crash_at": result.crash_at,

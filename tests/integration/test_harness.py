@@ -4,25 +4,33 @@ import pytest
 
 from repro.harness import fig4, fig11, fig12, fig13, fig14, fig15, table1, table4
 from repro.harness.cli import main as cli_main
+from repro.harness.experiments import add_average, normalize_to, run_experiment
 from repro.harness.report import format_table
-from repro.harness.runner import add_average, normalize_to, run_grid
 
 TINY = dict(transactions=15)
 TWO_WORKLOADS = ("hash", "queue")
 
 
+def one_core_grid(workloads):
+    """The (workload x {base, silo}) grid at one core, via fig12."""
+    result = run_experiment(
+        fig12.SPEC,
+        core_counts=(1,),
+        schemes=("base", "silo"),
+        workloads=workloads,
+        **TINY,
+    )
+    return result.grids[1]
+
+
 class TestRunner:
     def test_grid_runs_all_pairs(self):
-        grid = run_grid(
-            cores=1, schemes=("base", "silo"), workloads=TWO_WORKLOADS, **TINY
-        )
+        grid = one_core_grid(TWO_WORKLOADS)
         assert set(grid.results) == set(TWO_WORKLOADS)
         assert grid.schemes() == ["base", "silo"]
 
     def test_normalize_to_base(self):
-        grid = run_grid(
-            cores=1, schemes=("base", "silo"), workloads=("hash",), **TINY
-        )
+        grid = one_core_grid(("hash",))
         norm = normalize_to(grid, "media_writes")
         assert norm["hash"]["base"] == 1.0
         assert 0 < norm["hash"]["silo"] < 1.0
@@ -35,12 +43,15 @@ class TestRunner:
 
 class TestFigureDrivers:
     def test_fig4(self):
-        result = fig4.run(threads=1, transactions=20, workloads=("hash", "bank"))
+        result = run_experiment(
+            fig4.SPEC, threads=1, transactions=20, workloads=("hash", "bank")
+        )
         assert set(result.write_sizes) == {"hash", "bank"}
         assert "Fig. 4" in result.format_report()
 
     def test_fig11(self):
-        result = fig11.run(
+        result = run_experiment(
+            fig11.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=15,
         )
@@ -49,7 +60,8 @@ class TestFigureDrivers:
         assert "write traffic" in result.format_report()
 
     def test_fig12(self):
-        result = fig12.run(
+        result = run_experiment(
+            fig12.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=15,
         )
@@ -58,20 +70,24 @@ class TestFigureDrivers:
         assert "throughput" in result.format_report()
 
     def test_fig13(self):
-        result = fig13.run(threads=1, transactions=15, workloads=("array", "hash"))
+        result = run_experiment(
+            fig13.SPEC, threads=1, transactions=15, workloads=("array", "hash")
+        )
         assert result.counts["array"].reduction > 0.5
         assert result.counts["hash"].max_remaining > 0
         assert "remaining" in result.format_report()
 
     def test_fig14(self):
-        result = fig14.run(
+        result = run_experiment(
+            fig14.SPEC,
             threads=1, transactions=10, workloads=("hash",), multipliers=(1, 4)
         )
         assert result.write_traffic["hash"][1] == 1.0
         assert "Fig. 14" in result.format_report()
 
     def test_fig15(self):
-        result = fig15.run(
+        result = run_experiment(
+            fig15.SPEC,
             threads=1, transactions=15, workloads=("hash",), latencies=(8, 64)
         )
         assert result.throughput["hash"][8] == 1.0
@@ -79,11 +95,11 @@ class TestFigureDrivers:
         assert "latency" in result.format_report()
 
     def test_table1(self):
-        result = table1.run()
+        result = run_experiment(table1.SPEC)
         assert "Log buffer" in result.format_report()
 
     def test_table4(self):
-        result = table4.run()
+        result = run_experiment(table4.SPEC)
         report = result.format_report()
         assert "eADR" in report and "Silo" in report
 
@@ -103,13 +119,15 @@ class TestReportFormatting:
 
 
 class TestCLI:
+    FIG4_SMALL = ["exp", "run", "fig4", "--set", "transactions=10"]
+
     def test_cli_table4(self, capsys):
-        assert cli_main(["table4"]) == 0
+        assert cli_main(["exp", "run", "table4"]) == 0
         out = capsys.readouterr().out
         assert "Table IV" in out
 
     def test_cli_fig4_small(self, capsys):
-        assert cli_main(["fig4", "--transactions", "10"]) == 0
+        assert cli_main(self.FIG4_SMALL) == 0
         assert "write size" in capsys.readouterr().out
 
     def test_cli_rejects_unknown(self):
@@ -122,26 +140,21 @@ class TestCLI:
 
     def test_cli_cache_clear(self, capsys):
         # Populate via a cached experiment run, then clear.
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        assert cli_main(self.FIG4_SMALL + ["--jobs", "1"]) == 0
         assert cli_main(["cache", "clear"]) == 0
         assert "removed" in capsys.readouterr().out
 
     def test_cli_second_run_hits_cache(self, capsys):
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        assert cli_main(self.FIG4_SMALL + ["--jobs", "1"]) == 0
         first = capsys.readouterr().out
         assert "0 cached" in first
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        assert cli_main(self.FIG4_SMALL + ["--jobs", "1"]) == 0
         assert "11 cached" in capsys.readouterr().out
 
     def test_cli_rejects_action_without_cache(self):
         with pytest.raises(SystemExit):
-            cli_main(["fig4", "clear"])
+            cli_main(["crashtest", "clear"])
 
     def test_cli_parallel_jobs(self, capsys):
-        assert (
-            cli_main(
-                ["fig4", "--transactions", "10", "--jobs", "2", "--no-cache"]
-            )
-            == 0
-        )
+        assert cli_main(self.FIG4_SMALL + ["--jobs", "2", "--no-cache"]) == 0
         assert "write size" in capsys.readouterr().out

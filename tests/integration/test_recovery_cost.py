@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.recovery import RecoveryReport
 from repro.harness import recovery_cost
+from repro.harness.experiments import run_experiment
 
 
 class TestRecoveryReportModel:
@@ -24,7 +25,9 @@ class TestRecoveryReportModel:
 class TestRecoveryCostExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return recovery_cost.run(workload="hash", threads=2, transactions=40)
+        return run_experiment(
+            recovery_cost.SPEC, workload="hash", threads=2, transactions=40
+        )
 
     def test_every_design_recovers_consistently(self, result):
         assert all(row.consistent for row in result.rows)

@@ -18,7 +18,8 @@ from repro.sim.system import System
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.workloads import build_workload
 
-ALL_SCHEMES = ("base", "fwb", "morlog", "lad", "silo")
+#: Every registered design, a future one included.
+ALL_SCHEMES = tuple(SchemeRegistry.names())
 
 
 def make_trace():

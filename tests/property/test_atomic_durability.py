@@ -7,6 +7,7 @@ exactly the committed transactions' writes — all-or-nothing per
 transaction (atomicity), nothing committed lost (durability).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,8 @@ from repro.sim.system import System
 from repro.sim.verify import check_atomic_durability
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
-ALL_SCHEMES = ("base", "fwb", "morlog", "lad", "silo")
+#: Every registered design, a future one included.
+ALL_SCHEMES = tuple(SchemeRegistry.names())
 
 trace_params = st.fixed_dictionaries(
     {
@@ -70,30 +72,13 @@ def assert_atomic_durability(scheme, params, crash_fraction):
 
 
 class TestAtomicDurabilityUnderCrash:
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1))
-    def test_silo(self, params, crash):
-        assert_atomic_durability("silo", params, crash)
+    """One hypothesis target per design so shrinking stays per-scheme."""
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @_SETTINGS
     @given(params=trace_params, crash=st.floats(0, 1))
-    def test_base(self, params, crash):
-        assert_atomic_durability("base", params, crash)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1))
-    def test_fwb(self, params, crash):
-        assert_atomic_durability("fwb", params, crash)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1))
-    def test_morlog(self, params, crash):
-        assert_atomic_durability("morlog", params, crash)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1))
-    def test_lad(self, params, crash):
-        assert_atomic_durability("lad", params, crash)
+    def test_design(self, scheme, params, crash):
+        assert_atomic_durability(scheme, params, crash)
 
 
 class TestFailureFreeEquivalence:

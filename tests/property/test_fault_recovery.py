@@ -8,6 +8,7 @@ leak, and every injected-but-unprotected corruption is *reported* by
 recovery — never silently absorbed into a plausible-looking image.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,8 @@ from repro.sim.engine import TransactionEngine
 from repro.sim.system import System
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
-ALL_SCHEMES = ("base", "fwb", "morlog", "wrap", "redu", "proteus", "lad", "silo")
+#: Every registered design, a future one included.
+ALL_SCHEMES = tuple(SchemeRegistry.names())
 
 trace_params = st.fixed_dictionaries(
     {
@@ -88,45 +90,11 @@ def assert_fault_aware_durability(scheme, params, crash_fraction, fault_kwargs):
 class TestFaultAwareDurability:
     """One hypothesis target per design so shrinking stays per-scheme."""
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @_SETTINGS
     @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_base(self, params, crash, faults):
-        assert_fault_aware_durability("base", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_fwb(self, params, crash, faults):
-        assert_fault_aware_durability("fwb", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_morlog(self, params, crash, faults):
-        assert_fault_aware_durability("morlog", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_wrap(self, params, crash, faults):
-        assert_fault_aware_durability("wrap", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_redu(self, params, crash, faults):
-        assert_fault_aware_durability("redu", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_proteus(self, params, crash, faults):
-        assert_fault_aware_durability("proteus", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_lad(self, params, crash, faults):
-        assert_fault_aware_durability("lad", params, crash, faults)
-
-    @_SETTINGS
-    @given(params=trace_params, crash=st.floats(0, 1), faults=fault_params)
-    def test_silo(self, params, crash, faults):
-        assert_fault_aware_durability("silo", params, crash, faults)
+    def test_design(self, scheme, params, crash, faults):
+        assert_fault_aware_durability(scheme, params, crash, faults)
 
 
 class TestNoFaultEquivalence:

@@ -1,6 +1,6 @@
 """CLI contract tests: the dispatch table, ``--version``, and the
 uniform exit codes (0 ok, 1 experiment failure, 2 usage/config error)
-across the legacy and ``exp`` subcommands."""
+across the tool commands and the ``exp`` subcommands."""
 
 from __future__ import annotations
 
@@ -50,14 +50,6 @@ class TestDispatchTable:
         for name, runner in _EXPERIMENTS.items():
             assert callable(runner), name
 
-    def test_every_registered_experiment_has_a_legacy_route(self):
-        # The flat parser kept its historical names; ``recovery`` is the
-        # legacy alias of the registered ``recovery_cost``.
-        aliases = {"recovery_cost": "recovery"}
-        registry = load_all()
-        for name in registry.names():
-            assert aliases.get(name, name) in _EXPERIMENTS, name
-
     def test_registry_covers_the_full_catalog(self):
         registry = load_all()
         assert registry.names()[: len(CATALOG_MODULES)] == list(CATALOG_MODULES)
@@ -67,6 +59,17 @@ class TestUsageErrors:
     def test_unknown_legacy_experiment(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["nope"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig12"], ["table1"], ["all"], ["bench", "--cores", "1", "8"]],
+    )
+    def test_removed_study_commands(self, argv):
+        # Studies run only through ``exp run``; the flat figure
+        # commands, ``all`` and ``--cores`` are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
         assert excinfo.value.code == EXIT_USAGE
 
     def test_exp_without_subcommand(self):
@@ -103,8 +106,8 @@ class TestUsageErrors:
         def _boom(args, ex):
             raise ConfigError("bad knob")
 
-        monkeypatch.setitem(_EXPERIMENTS, "table1", _boom)
-        assert main(["table1"]) == EXIT_USAGE
+        monkeypatch.setitem(_EXPERIMENTS, "crashtest", _boom)
+        assert main(["crashtest"]) == EXIT_USAGE
         assert "bad knob" in capsys.readouterr().err
 
 
@@ -118,7 +121,7 @@ class TestResilienceFlags:
 
     def test_legacy_resume_is_faultsweep_only(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fig13", "--resume"])
+            main(["crashtest", "--resume"])
         assert excinfo.value.code == EXIT_USAGE
 
     def test_exp_bad_cell_timeout(self, capsys):
@@ -129,7 +132,7 @@ class TestResilienceFlags:
         assert "--cell-timeout" in capsys.readouterr().err
 
     def test_legacy_bad_cell_timeout(self, capsys):
-        assert main(["table1", "--cell-timeout", "soon"]) == EXIT_USAGE
+        assert main(["crashtest", "--cell-timeout", "soon"]) == EXIT_USAGE
 
     def test_resilience_flags_accepted_on_a_clean_run(self, capsys):
         assert (
@@ -158,8 +161,8 @@ class TestFailures:
         def _boom(args, ex):
             raise ExecutionError("cell exploded")
 
-        monkeypatch.setitem(_EXPERIMENTS, "table1", _boom)
-        assert main(["table1"]) == EXIT_FAILURE
+        monkeypatch.setitem(_EXPERIMENTS, "crashtest", _boom)
+        assert main(["crashtest"]) == EXIT_FAILURE
 
 
 class TestSuccess:
@@ -194,3 +197,25 @@ class TestSuccess:
             == EXIT_OK
         )
         assert "Fig. 4" in capsys.readouterr().out
+
+    def test_exp_run_footer_counts_each_study(self, capsys):
+        # The executor is shared across studies; each footer reports
+        # only its own study's cells and cache hits.
+        argv = ["exp", "run", "fig4", "fig13", "--smoke", "--jobs", "1"]
+        assert main(argv + ["--no-cache"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[fig4 completed" in out and "[fig13 completed" in out
+        for name in ("fig4", "fig13"):
+            footer = next(l for l in out.splitlines() if f"[{name} completed" in l)
+            assert "campaign: 2 cells, 0 cached" in footer, footer
+
+    def test_exp_run_footer_counts_each_studys_cache_hits(self, capsys):
+        assert main(["exp", "run", "fig4", "--smoke", "--jobs", "1"]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["exp", "run", "fig4", "fig13", "--smoke", "--jobs", "1"]
+        assert main(argv) == EXIT_OK
+        footers = [
+            l for l in capsys.readouterr().out.splitlines() if "completed in" in l
+        ]
+        assert "campaign: 2 cells, 2 cached" in footers[0], footers
+        assert "campaign: 2 cells, 0 cached" in footers[1], footers

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.harness.experiments.presentation import GridResult
 from repro.harness.fig13 import Fig13Result, WorkloadLogCounts
 from repro.harness.fig15 import Fig15Result
-from repro.harness.runner import GridResult
 from repro.sim.results import RunResult
 from repro.common.config import SystemConfig
 from repro.common.stats import Stats

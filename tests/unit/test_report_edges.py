@@ -18,18 +18,20 @@ import pytest
 from repro.harness.experiments.presentation import (
     TableData,
     TabularResult,
+    normalized_table,
     render,
     tables_payload,
     tables_to_csv,
 )
-from repro.harness.report import (
-    format_bars,
-    format_grouped_bars,
-    format_normalized,
-    format_table,
-)
+from repro.harness.report import format_bars, format_grouped_bars, format_table
 
 NAN = float("nan")
+
+
+def render_normalized(normalized, schemes, title):
+    """A normalized table rendered the way every report renders it."""
+    table = normalized_table(normalized, schemes, title)
+    return format_table(table.headers, table.rows, title=table.title)
 
 
 class TestEmptyGrid:
@@ -40,7 +42,7 @@ class TestEmptyGrid:
         assert len(lines) == 2  # header + separator, no data rows
 
     def test_normalized_with_no_workloads(self):
-        out = format_normalized({}, ["base", "silo"], title="empty")
+        out = render_normalized({}, ["base", "silo"], title="empty")
         assert out.splitlines()[0] == "empty"
         assert "base" in out and "silo" in out
 
@@ -59,7 +61,7 @@ class TestEmptyGrid:
 
 class TestSingleScheme:
     def test_normalized_single_scheme(self):
-        out = format_normalized(
+        out = render_normalized(
             {"hash": {"base": 1.0}}, ["base"], title="one scheme"
         )
         assert "base" in out
@@ -80,7 +82,7 @@ class TestNaNCells:
         assert "nan" not in out.lower().replace("n/a", "")
 
     def test_normalized_missing_scheme_reads_na(self):
-        out = format_normalized(
+        out = render_normalized(
             {"hash": {"base": 1.0}}, ["base", "silo"], title="t"
         )
         assert "n/a" in out
