@@ -3,7 +3,7 @@
 Every registered study (Fig. 4, Figs. 11-15, Tables I and IV, plus the
 ``mcsweep``, ``recovery_cost`` and ``catalog`` extensions) runs through
 ``silo-repro exp``; the other subcommands are the validation,
-benchmark and maintenance tools.  Examples::
+tracing and maintenance tools.  Examples::
 
     silo-repro exp list                  # the declarative registry
     silo-repro exp run fig11             # paper-sized campaign
@@ -16,7 +16,6 @@ benchmark and maintenance tools.  Examples::
     silo-repro exp run fig13 --no-cache
     silo-repro exp run fig15 --fresh     # recompute, refresh the cache
     silo-repro exp run --all --jobs 8
-    silo-repro bench --smoke
     silo-repro crashtest --crash-points 3
     silo-repro faultsweep --smoke --jobs 2
     silo-repro litmus --smoke --jobs 2
@@ -56,7 +55,7 @@ from typing import Dict, List, Optional
 
 from repro import __version__
 from repro.common.errors import ConfigError, ExecutionError
-from repro.harness import bench, crashtest, faultsweep, litmus, replay, tracecmd
+from repro.harness import crashtest, faultsweep, litmus, replay, tracecmd
 from repro.harness.executor import CampaignInterrupted, Executor, spec_key
 from repro.harness.experiments import load_all, render, run_campaign
 from repro.harness.experiments.engine import PartialCampaignResult
@@ -74,23 +73,6 @@ EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
 
 _EXPERIMENTS = {
-    "bench": lambda args, ex: (
-        bench.run_engine_comparison(
-            smoke=args.smoke,
-            output=args.engine_output,
-            repeats=args.repeats,
-            executor=ex,
-        )
-        if args.engine == "both"
-        else bench.run(
-            smoke=args.smoke,
-            output=args.bench_output,
-            repeats=args.repeats,
-            executor=ex,
-            profile=args.profile,
-            engine=args.engine,
-        )
-    ),
     "crashtest": lambda args, ex: crashtest.run(
         points_per_pair=args.crash_points, seed=args.seed, executor=ex
     ),
@@ -122,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="silo-repro",
         description="Reproduce the Silo paper (HPCA 2023) on the "
         "trace-driven simulator.  'silo-repro exp list|run' regenerates "
-        "its tables and figures; the commands below validate, benchmark "
+        "its tables and figures; the commands below validate, trace "
         "and maintain the simulator.",
     )
     parser.add_argument(
@@ -250,42 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="bench/faultsweep/litmus/chaos: shrink the grid to a "
+        help="faultsweep/litmus/chaos: shrink the grid to a "
         "<60s CI budget",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=bench.DEFAULT_REPEATS,
-        help="bench only: wall-clock samples per cell; the best is "
-        "reported, the spread recorded (default 3)",
-    )
-    parser.add_argument(
-        "--bench-output",
-        default="BENCH_hotpath.json",
-        help="bench only: where to write the JSON record "
-        "(default: BENCH_hotpath.json)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("exact", "columnar", "both"),
-        default="exact",
-        help="bench only: execution engine to measure; 'both' runs the "
-        "grid under each engine, checks bit-identity, and writes the "
-        "speedup record (see --engine-output)",
-    )
-    parser.add_argument(
-        "--engine-output",
-        default="BENCH_engine.json",
-        help="bench only: where --engine both writes the comparison "
-        "record (default: BENCH_engine.json)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="bench only: enable the obs metrics registry and report "
-        "per-phase simulated-cycle attribution (profiled ops/sec is "
-        "not comparable with the plain baseline)",
     )
     parser.add_argument(
         "--scheme",

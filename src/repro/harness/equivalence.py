@@ -32,6 +32,12 @@ run).  Those cells must be bit-identical *and* fully fused
 to the exact path is exactly the coverage regression this gate exists
 to catch.
 
+A **hot-path row** runs the write-heavy ``ycsb`` and ``tpcc`` workloads
+(8 cores, 40 transactions per thread) over every registered design.
+Each cell must be bit-identical between engines, and every design
+whose class declares its own ``spec.columnar_profile`` (the designs
+with fused kernels) must run it fully fused.
+
 CI entry point::
 
     PYTHONPATH=src python -m repro.harness.equivalence
@@ -71,6 +77,9 @@ class EquivalenceReport:
     full_fallback_cells: int = 0
     delegated_cells: int = 0
     stress_cells: int = 0
+    hotpath_cells: int = 0
+    #: Lowest ``fast_fraction`` per design over its hot-path cells.
+    hotpath_fast_fraction: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -87,8 +96,17 @@ class EquivalenceReport:
             f"{self.simulated_cells} simulated cells, "
             f"{self.full_fallback_cells} full fallbacks, "
             f"{self.delegated_cells} delegated, "
-            f"{self.stress_cells} stress cells",
+            f"{self.stress_cells} stress cells, "
+            f"{self.hotpath_cells} hot-path cells",
         ]
+        if self.hotpath_fast_fraction:
+            lines.append(
+                "hot-path fast_fraction: "
+                + ", ".join(
+                    f"{name} {frac:.3f}"
+                    for name, frac in sorted(self.hotpath_fast_fraction.items())
+                )
+            )
         if self.excessive_fallback:
             lines.append(
                 "FAIL: columnar engine silently fell back on more than "
@@ -99,6 +117,19 @@ class EquivalenceReport:
         if self.ok:
             lines.append("OK: manifests, payloads and cell results match")
         return "\n".join(lines)
+
+
+def compare_results(report: EquivalenceReport, where: str, exact, col) -> None:
+    """Append any ``end_cycle``/committed/counter divergence between an
+    exact and a columnar run result to ``report.mismatches``."""
+    if exact.end_cycle != col.end_cycle:
+        report.mismatches.append(
+            f"{where}: end_cycle {exact.end_cycle} != {col.end_cycle}"
+        )
+    if exact.committed != col.committed:
+        report.mismatches.append(f"{where}: committed differs")
+    if dict(exact.stats.counters) != dict(col.stats.counters):
+        report.mismatches.append(f"{where}: stats counters differ")
 
 
 def check_engine_equivalence(
@@ -152,15 +183,7 @@ def check_engine_equivalence(
                 report.full_fallback_cells += 1
             if not hasattr(re_, "end_cycle"):
                 continue  # trace-statistics cells carry no run result
-            where = f"{spec.name} {point}"
-            if re_.end_cycle != rc.end_cycle:
-                report.mismatches.append(
-                    f"{where}: end_cycle {re_.end_cycle} != {rc.end_cycle}"
-                )
-            if re_.committed != rc.committed:
-                report.mismatches.append(f"{where}: committed differs")
-            if dict(re_.stats.counters) != dict(rc.stats.counters):
-                report.mismatches.append(f"{where}: stats counters differ")
+            compare_results(report, f"{spec.name} {point}", re_, rc)
     return report
 
 
@@ -224,45 +247,102 @@ STRESS_CELLS = (
 )
 
 
-def check_stress_cells(report: EquivalenceReport) -> None:
-    """Run the stress cells under both engines; append any divergence
-    or lost fusion to ``report.mismatches``."""
+def run_both_engines(trace, scheme_name: str, cores: int):
+    """Run ``trace`` on fresh Table II systems under both engines;
+    return ``(exact result, columnar result, columnar engine)``."""
     from repro.common.config import SystemConfig
     from repro.designs.scheme import SchemeRegistry
     from repro.sim.columnar import ColumnarEngine
     from repro.sim.engine import TransactionEngine
     from repro.sim.system import System
+
+    sys_exact = System(SystemConfig.table2(cores))
+    exact = TransactionEngine(
+        sys_exact, SchemeRegistry.create(scheme_name, sys_exact), trace
+    ).run()
+    sys_col = System(SystemConfig.table2(cores))
+    engine = ColumnarEngine(
+        sys_col, SchemeRegistry.create(scheme_name, sys_col), trace
+    )
+    col = engine.run()
+    return exact, col, engine
+
+
+def check_fused(report: EquivalenceReport, where: str, stats: dict) -> None:
+    """Append a mismatch unless the columnar run was fully fused."""
+    if stats["fast_fraction"] != 1.0:
+        report.mismatches.append(
+            f"{where}: fast_fraction {stats['fast_fraction']:.3f} "
+            f"!= 1.0 (fallbacks: {stats['fallback_reasons']})"
+        )
+
+
+def check_stress_cells(report: EquivalenceReport) -> None:
+    """Run the stress cells under both engines; append any divergence
+    or lost fusion to ``report.mismatches``."""
     from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
     for label, kwargs, schemes, must_fuse in STRESS_CELLS:
         trace = synthetic_trace(SyntheticTraceConfig(**kwargs))
-        cores = kwargs["threads"]
         for scheme_name in schemes:
             report.stress_cells += 1
             where = f"stress {label}/{scheme_name}"
-            sys_exact = System(SystemConfig.table2(cores))
-            exact = TransactionEngine(
-                sys_exact, SchemeRegistry.create(scheme_name, sys_exact), trace
-            ).run()
-            sys_col = System(SystemConfig.table2(cores))
-            engine = ColumnarEngine(
-                sys_col, SchemeRegistry.create(scheme_name, sys_col), trace
+            exact, col, engine = run_both_engines(
+                trace, scheme_name, kwargs["threads"]
             )
-            col = engine.run()
-            if exact.end_cycle != col.end_cycle:
-                report.mismatches.append(
-                    f"{where}: end_cycle {exact.end_cycle} != {col.end_cycle}"
-                )
-            if exact.committed != col.committed:
-                report.mismatches.append(f"{where}: committed differs")
-            if dict(exact.stats.counters) != dict(col.stats.counters):
-                report.mismatches.append(f"{where}: stats counters differ")
+            compare_results(report, where, exact, col)
+            if must_fuse:
+                check_fused(report, where, engine.engine_stats())
+
+
+#: The hot-path row: write-heavy workloads (skewed read-modify-writes
+#: in ycsb, large write sets in tpcc) at 8 cores keep every simulator
+#: layer busy, so a fused kernel that stops proving identity on them
+#: shows up as ``fast_fraction < 1.0``.
+HOTPATH_WORKLOADS = ("ycsb", "tpcc")
+HOTPATH_CORES = 8
+HOTPATH_TRANSACTIONS = 40
+
+
+def declares_columnar_profile(scheme) -> bool:
+    """Whether the design's class declares its *own* columnar profile.
+
+    This is the columnar engine's own fusion rule (``_make_stepper``
+    reads ``type(scheme).__dict__["spec"]``): a design that merely
+    inherits a fused design's spec runs unfused.
+    """
+    spec = type(scheme).__dict__.get("spec")
+    return spec is not None and spec.columnar_profile is not None
+
+
+def check_hotpath_cells(
+    report: EquivalenceReport,
+    workloads=HOTPATH_WORKLOADS,
+    schemes: Optional[List[str]] = None,
+    cores: int = HOTPATH_CORES,
+    transactions: int = HOTPATH_TRANSACTIONS,
+) -> None:
+    """Run the hot-path row (every registered design by default) under
+    both engines.  Every cell must be bit-identical; a design that
+    declares a columnar profile must also run fully fused."""
+    from repro.designs.scheme import SchemeRegistry
+    from repro.workloads.registry import build_workload
+
+    names = list(schemes) if schemes is not None else SchemeRegistry.names()
+    for workload in workloads:
+        trace = build_workload(workload, threads=cores, transactions=transactions)
+        for scheme_name in names:
+            report.hotpath_cells += 1
+            where = f"hotpath {workload}@{cores}/{scheme_name}"
+            exact, col, engine = run_both_engines(trace, scheme_name, cores)
+            compare_results(report, where, exact, col)
             stats = engine.engine_stats()
-            if must_fuse and stats["fast_fraction"] != 1.0:
-                report.mismatches.append(
-                    f"{where}: fast_fraction {stats['fast_fraction']:.3f} "
-                    f"!= 1.0 (fallbacks: {stats['fallback_reasons']})"
-                )
+            if declares_columnar_profile(engine.scheme):
+                check_fused(report, where, stats)
+            report.hotpath_fast_fraction[scheme_name] = min(
+                stats["fast_fraction"],
+                report.hotpath_fast_fraction.get(scheme_name, 1.0),
+            )
 
 
 #: Crash-point boundary cells: ``at_op=0`` (power fails before any
@@ -328,14 +408,7 @@ def check_boundary_cells(report: EquivalenceReport) -> None:
                     )
                 results[engine_name] = result
             exact, col = results["exact"], results["columnar"]
-            if exact.end_cycle != col.end_cycle:
-                report.mismatches.append(
-                    f"{where}: end_cycle {exact.end_cycle} != {col.end_cycle}"
-                )
-            if exact.committed != col.committed:
-                report.mismatches.append(f"{where}: committed differs")
-            if dict(exact.stats.counters) != dict(col.stats.counters):
-                report.mismatches.append(f"{where}: stats counters differ")
+            compare_results(report, where, exact, col)
             if exact.recovery != col.recovery:
                 report.mismatches.append(f"{where}: recovery report differs")
 
@@ -345,6 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     smoke = "--full" not in args
     report = check_engine_equivalence(smoke=smoke)
     check_stress_cells(report)
+    check_hotpath_cells(report)
     check_boundary_cells(report)
     print(report.format_report())
     return 0 if report.ok else 1

@@ -196,8 +196,7 @@ class CellSpec:
     the *fault-aware* oracle when the cell carries a ``fault_plan``
     (its unattributed mismatches and silent corruptions are the
     failures), the exact clean oracle otherwise.
-    ``repeats`` reruns the identical cell and records every wall time
-    (the hot-path benchmark keeps the best).
+    ``repeats`` reruns the identical cell and records every wall time.
     ``obs`` enables the observability layer for the cell; it is part
     of the content address (an obs-enabled outcome carries events and
     metrics a plain one does not, so they must not share a cache slot).

@@ -19,7 +19,6 @@ from repro.harness.experiments.presentation import (
     TableData,
     TabularResult,
     add_average,
-    format_phase_table,
     normalize_series,
     normalize_to,
     normalized_table,
@@ -45,7 +44,6 @@ __all__ = [
     "TableData",
     "TabularResult",
     "add_average",
-    "format_phase_table",
     "grids_from_campaign",
     "load_all",
     "lower",

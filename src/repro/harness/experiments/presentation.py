@@ -190,17 +190,6 @@ def table_chart(table: TableData, width: int = 40) -> str:
     return format_grouped_bars(groups, title=table.title, width=width)
 
 
-def format_phase_table(phases: Mapping[str, int]) -> List[List[object]]:
-    """Rows of a per-phase cycle-attribution table, largest first."""
-    total = sum(phases.values()) or 1
-    rows: List[List[object]] = [
-        [name, cycles, f"{100.0 * cycles / total:5.1f}%"]
-        for name, cycles in sorted(phases.items(), key=lambda kv: -kv[1])
-    ]
-    rows.append(["total", sum(phases.values()), "100.0%"])
-    return rows
-
-
 # ----------------------------------------------------------------------
 # Normalization helpers (the one copy)
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Harness-level observability: trace command, bench profile,
-faultsweep metrics roll-up, and the bench baseline checker."""
+"""Harness-level observability: the trace command's captures and
+per-phase cycle attribution, and the faultsweep metrics roll-up."""
 
 import json
-import sys
 
-from repro.harness import bench, faultsweep, tracecmd
+from repro.harness import faultsweep, tracecmd
 
 
 class TestTraceCommand:
@@ -18,6 +17,19 @@ class TestTraceCommand:
         assert data["traceEvents"]
         assert "silo" in result.format_report()
 
+    def test_report_attributes_cycles_to_phases(self, tmp_path):
+        result = tracecmd.run(
+            scheme="silo",
+            workload="hash",
+            transactions=6,
+            output=str(tmp_path / "TRACE.json"),
+        )
+        [run] = result.runs
+        assert run.result.metrics.phases["op.store"] > 0
+        report = result.format_report()
+        assert "silo/hash — cycle attribution by phase" in report
+        assert "op.store" in report
+
     def test_all_schemes_write_per_scheme_files(self, tmp_path):
         out = tmp_path / "TRACE.json"
         result = tracecmd.run(
@@ -28,40 +40,6 @@ class TestTraceCommand:
             data = json.loads(open(run.path).read())
             body = [e for e in data["traceEvents"] if e["ph"] != "M"]
             assert body, f"{run.scheme} trace is empty"
-
-
-class TestBenchProfile:
-    def test_profile_attaches_phase_attribution(self, tmp_path):
-        out = tmp_path / "BENCH.json"
-        result = bench.run(
-            core_counts=(2,),
-            workloads=("hash",),
-            schemes=("silo",),
-            transactions=6,
-            repeats=1,
-            output=str(out),
-            profile=True,
-        )
-        assert result.phases and result.phases["op.store"] > 0
-        record = json.loads(out.read_text())
-        assert record["phases"] == {
-            k: v for k, v in sorted(result.phases.items())
-        }
-        assert record["machine"] == bench.machine_fingerprint()
-        assert "cycle attribution" in result.format_report()
-
-    def test_plain_bench_has_no_phases(self, tmp_path):
-        out = tmp_path / "BENCH.json"
-        result = bench.run(
-            core_counts=(2,),
-            workloads=("hash",),
-            schemes=("silo",),
-            transactions=6,
-            repeats=1,
-            output=str(out),
-        )
-        assert result.phases is None
-        assert "phases" not in json.loads(out.read_text())
 
 
 class TestFaultsweepObservability:
@@ -83,85 +61,3 @@ class TestFaultsweepObservability:
         trace = json.loads(trace_out.read_text())
         assert trace["traceEvents"]
         assert str(trace_out) in result.format_report()
-
-
-class TestBaselineChecker:
-    def _record(self, **overrides):
-        cell = {
-            "workload": "ycsb",
-            "scheme": "silo",
-            "cores": 8,
-            "ops": 5000,
-            "seconds": 0.1,
-            "end_cycle": 1000,
-            "committed": 40,
-            "ops_per_sec": 50_000.0,
-            "ops_per_sec_spread": 0.0,
-        }
-        record = {
-            "transactions": 40,
-            "machine": "Linux|x86_64|CPython|8",
-            "jobs": 2,
-            "cells": [cell],
-        }
-        record.update(overrides)
-        return record
-
-    def _check(self, baseline, fresh, tolerance=0.03):
-        sys.path.insert(0, "benchmarks")
-        try:
-            from check_bench_baseline import check
-        finally:
-            sys.path.pop(0)
-        return check(baseline, fresh, tolerance)
-
-    def test_identical_records_pass(self):
-        assert self._check(self._record(), self._record()) == []
-
-    def test_end_cycle_change_fails_anywhere(self):
-        fresh = self._record()
-        fresh["cells"][0]["end_cycle"] += 1
-        fresh["machine"] = "Other|arm64|CPython|4"  # even off-machine
-        assert any("end_cycle" in f for f in self._check(self._record(), fresh))
-
-    def test_throughput_gate_applies_on_same_machine_and_jobs(self):
-        fresh = self._record()
-        fresh["cells"][0]["seconds"] *= 2  # aggregate rate halves
-        assert any("regressed" in f for f in self._check(self._record(), fresh))
-
-    def test_throughput_gate_skipped_across_machines(self):
-        fresh = self._record(machine="Other|arm64|CPython|4")
-        fresh["cells"][0]["seconds"] *= 2
-        assert self._check(self._record(), fresh) == []
-
-    def test_throughput_gate_downgrades_when_samples_are_noisy(self):
-        # A record whose own repeats disagree by more than the
-        # tolerance cannot support a 3% verdict: report, don't fail.
-        fresh = self._record()
-        fresh["cells"][0]["seconds"] *= 2
-        fresh["cells"][0]["ops_per_sec_spread"] = 5_000.0  # 10% band
-        assert self._check(self._record(), fresh) == []
-
-    def test_throughput_gate_skipped_across_jobs_settings(self):
-        fresh = self._record(jobs=1)
-        fresh["cells"][0]["seconds"] *= 2
-        assert self._check(self._record(), fresh) == []
-
-    def test_aggregate_gate_tolerates_per_cell_noise(self):
-        # Two cells trade 10% noise against each other; the aggregate
-        # moves far less than the tolerance and must pass.
-        def two_cell(fast_first):
-            record = self._record()
-            a = dict(record["cells"][0])
-            b = dict(a, scheme="base")
-            scale = 1.10 if fast_first else 0.92
-            a["seconds"] *= scale
-            b["seconds"] /= scale
-            record["cells"] = [a, b]
-            return record
-
-        assert self._check(two_cell(True), two_cell(False)) == []
-
-    def test_mismatched_grids_fail(self):
-        fresh = self._record(transactions=120)
-        assert any("not comparable" in f for f in self._check(self._record(), fresh))

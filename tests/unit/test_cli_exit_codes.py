@@ -63,13 +63,38 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["fig12"], ["table1"], ["all"], ["bench", "--cores", "1", "8"]],
+        [
+            ["fig12"],
+            ["table1"],
+            ["all"],
+            ["bench"],
+            ["bench", "--smoke"],
+            ["bench", "--cores", "1", "8"],
+        ],
     )
     def test_removed_study_commands(self, argv):
-        # Studies run only through ``exp run``; the flat figure
-        # commands, ``all`` and ``--cores`` are gone.
+        # Studies run only through ``exp run`` and simulator speed is
+        # measured only by the ledger; the flat figure commands,
+        # ``all``, ``bench`` and ``--cores`` are gone.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--profile"],
+            ["--repeats", "3"],
+            ["--bench-output", "BENCH.json"],
+            ["--engine", "both"],
+            ["--engine-output", "BENCH.json"],
+        ],
+    )
+    def test_removed_bench_flags(self, flags):
+        # The bench-only flags went with ``bench``; a surviving tool
+        # command rejects them before running anything.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crashtest", *flags])
         assert excinfo.value.code == EXIT_USAGE
 
     def test_exp_without_subcommand(self):
