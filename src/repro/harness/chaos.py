@@ -13,12 +13,13 @@ itself:
   for deterministically chosen target cells — so every injected fault
   must converge under retry, exactly like a real one;
 * :func:`run` executes one small smoke campaign fault-free to capture
-  baseline result digests, then re-runs it under four chaos phases —
+  baseline result digests, then re-runs it under five chaos phases —
   worker **kills**, worker **hangs** (caught by the watchdog),
-  transient **raises**, and **corrupted store entries** (truncated
-  result-cache and trace-artifact pickles) — asserting after each that
-  every cell completed ``ok``, the retry/timeout/quarantine counters
-  actually moved (the fault *happened*), and the results are
+  transient **raises**, **corrupted store entries** (truncated
+  result and trace-artifact pickles) and an **interrupt + resume** (a
+  SIGINT after N completions, then a ``resume`` run) — asserting after
+  each that every cell completed ``ok``, the retry/timeout/quarantine
+  counters actually moved (the fault *happened*), and the results are
   **bit-identical** to the fault-free baseline;
 * ``silo-repro chaos --smoke`` runs it from the CLI and CI, writing a
   ``CHAOS.json`` report; a nonzero exit means the resilience layer let
@@ -41,6 +42,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.executor import (
+    _TRACE_MEMO,
+    CampaignInterrupted,
     CellOutcome,
     CellSpec,
     Executor,
@@ -364,34 +367,29 @@ def _run_corruption_phase(
         passed=True,
     )
     scratch = tempfile.mkdtemp(prefix="silo-chaos-")
+    results = ResultCache(scratch)
+    traces = TraceArtifactStore(scratch)
     try:
         with Executor(
-            jobs=jobs,
-            batch=1,
-            cache=ResultCache(scratch),
-            trace_store=TraceArtifactStore(scratch),
+            jobs=jobs, batch=1, cache=results, trace_store=traces
         ) as executor:
             executor.run(list(cells))
 
-        objects = sorted((Path(scratch) / "objects").rglob("*.pkl"))
         damaged = 0
-        for i, path in enumerate(objects):
-            if i % 2 == 0:
-                path.write_bytes(path.read_bytes()[:7])
-                damaged += 1
-        traces = sorted(
-            (Path(scratch) / "traces" / "objects").rglob("*.pkl")
-        )
-        if traces:
-            traces[0].write_bytes(b"\x80not a pickle")
+        for path in [results.path(spec_key(c)) for c in cells][::2]:
+            path.write_bytes(path.read_bytes()[:7])
+            damaged += 1
+        path = traces.path(traces.key(cells[0].workload))
+        if path.exists():
+            path.write_bytes(b"\x80not a pickle")
             damaged += 1
         phase.notes.append(f"damaged {damaged} store entries in place")
 
+        # Forget this process's built traces (forked workers inherit
+        # them), so the rerun really reads the damaged artifact.
+        _TRACE_MEMO.clear()
         with Executor(
-            jobs=jobs,
-            batch=1,
-            cache=ResultCache(scratch),
-            trace_store=TraceArtifactStore(scratch),
+            jobs=jobs, batch=1, cache=results, trace_store=traces
         ) as executor:
             outcomes = executor.run(list(cells))
             _check_phase(phase, outcomes, baseline, executor, {})
@@ -406,14 +404,72 @@ def _run_corruption_phase(
                 f"{recomputed} damaged cells recomputed, "
                 f"{len(outcomes) - recomputed} served from intact entries"
             )
-        quarantined = list(Path(scratch).rglob("*.corrupt"))
-        if not quarantined:
+        quarantined = sum(
+            store.stats()["quarantined"] for store in (results, traces)
+        )
+        if quarantined < damaged:
             phase.passed = False
-            phase.notes.append("no *.corrupt quarantine files were left")
+            phase.notes.append(
+                f"only {quarantined} of {damaged} damaged entries were "
+                "quarantined as *.corrupt"
+            )
         else:
             phase.notes.append(
-                f"{len(quarantined)} entries quarantined as *.corrupt"
+                f"{quarantined} entries quarantined as *.corrupt"
             )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return phase
+
+
+def _run_resume_phase(
+    cells: Sequence[CellSpec], baseline: Sequence[str], jobs: int
+) -> ChaosPhase:
+    """Interrupt a stored campaign mid-run, resume it, and prove the
+    resumed run executes exactly the unsettled cells and reproduces the
+    fault-free results."""
+    phase = ChaosPhase(
+        name="resume",
+        description=(
+            "a SIGINT after two completions drains; the resumed run "
+            "executes only the unsettled cells"
+        ),
+        passed=True,
+    )
+    scratch = tempfile.mkdtemp(prefix="silo-chaos-")
+
+    def executor(**kwargs) -> Executor:
+        return Executor(
+            jobs=jobs,
+            batch=1,
+            cache=ResultCache(scratch),
+            trace_store=TraceArtifactStore(scratch),
+            **kwargs,
+        )
+
+    try:
+        try:
+            with executor(chaos=ChaosPlan(interrupt_after=2)) as interrupted:
+                interrupted.run(list(cells))
+        except CampaignInterrupted as exc:
+            completed = len(exc.outcomes)
+        else:
+            phase.passed = False
+            phase.notes.append("the injected interrupt never fired")
+            return phase
+        phase.notes.append(f"interrupted after {completed} of {len(cells)} cells")
+        with executor(resume=True) as resumed:
+            outcomes = resumed.run(list(cells))
+            _check_phase(phase, outcomes, baseline, resumed, {})
+        expected = len(cells) - completed
+        if resumed.stats.executed != expected:
+            phase.passed = False
+            phase.notes.append(
+                f"resumed run executed {resumed.stats.executed} cells, "
+                f"expected {expected}"
+            )
+        else:
+            phase.notes.append(f"resumed run executed {expected} cells")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return phase
@@ -512,6 +568,7 @@ def run(
         )
     )
     result.phases.append(_run_corruption_phase(cells, baseline, jobs))
+    result.phases.append(_run_resume_phase(cells, baseline, jobs))
     return _finalize(result, output)
 
 

@@ -29,8 +29,8 @@ an experiment fails (a raised cell or an oracle violation), 2 on a
 usage or configuration error (unknown experiment, bad ``--set`` key,
 malformed flags), 3 when a ``--partial`` run completed with holes
 (results rendered, but cells are missing), and 130 when a campaign
-was interrupted (SIGINT) and drained gracefully — its journal is
-flushed and ``--resume`` continues where it stopped.
+was interrupted (SIGINT) and drained gracefully — its settled cells
+are stored and ``--resume`` continues where it stopped.
 
 Every campaign fans its (workload x scheme x cores x config) cells
 out through :class:`repro.harness.executor.Executor`: ``--jobs N``
@@ -51,6 +51,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import __version__
@@ -59,7 +60,6 @@ from repro.harness import crashtest, faultsweep, litmus, replay, tracecmd
 from repro.harness.executor import CampaignInterrupted, Executor, spec_key
 from repro.harness.experiments import load_all, render, run_campaign
 from repro.harness.experiments.engine import PartialCampaignResult
-from repro.harness.journal import CampaignJournal
 from repro.harness.resultcache import ResultCache
 from repro.harness.traceartifacts import TraceArtifactStore
 
@@ -220,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="faultsweep only: continue an interrupted campaign from "
-        "its journal, re-running only unfinished cells",
+        help="faultsweep/litmus (and 'exp run'): continue an "
+        "interrupted campaign from the result cache, re-running only "
+        "the cells that never settled (needs the cache; not with "
+        "--fresh)",
     )
     parser.add_argument(
         "--chaos-output",
@@ -379,8 +381,9 @@ def build_exp_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--resume",
         action="store_true",
-        help="continue an interrupted campaign from its journal, "
-        "re-running only unfinished cells (needs the result cache)",
+        help="continue an interrupted campaign from the result cache, "
+        "re-running only the cells that never settled (needs the "
+        "cache; not with --fresh)",
     )
     p_run.add_argument(
         "--partial",
@@ -409,39 +412,47 @@ def _parse_cell_timeout(value):
     return seconds if seconds > 0 else None
 
 
-def _campaign_journal(args, campaign_key: str):
-    """The checkpoint journal for one campaign identity, honoring
-    ``--resume`` (keep it) vs. a fresh run (discard any leftover).
-    Resilience flags never join the key: they change scheduling, not
-    which cells the campaign contains."""
-    if getattr(args, "no_cache", False):
-        if getattr(args, "resume", False):
-            raise ConfigError("--resume needs the result cache "
-                              "(drop --no-cache)")
-        return None
-    journal = CampaignJournal(args.cache_dir, campaign=campaign_key)
-    if not getattr(args, "resume", False):
-        journal.discard()
-    return journal
+def _check_resume(args) -> None:
+    """``--resume`` serves what the result cache holds, so it needs the
+    cache and contradicts ``--fresh`` (which reads nothing)."""
+    if args.resume and args.no_cache:
+        raise ConfigError("--resume needs the result cache (drop --no-cache)")
+    if args.resume and args.fresh:
+        raise ConfigError("--resume and --fresh contradict each other "
+                          "(--fresh re-runs every cell)")
 
 
-def _report_interrupted(exc: CampaignInterrupted, name: str) -> int:
-    """Render a graceful partial stop: flush the journal's partial
-    manifest, say how to continue, exit 130 — never a stack trace."""
-    records = []
-    for outcome in exc.outcomes:
-        record = {
-            "spec": json.loads(spec_key(outcome.spec)),
-            "ok": outcome.ok,
-            "kind": outcome.kind,
-            "cached": outcome.cached,
-        }
-        records.append(record)
+def _partial_manifest(cache: Optional[ResultCache], name: str) -> Optional[Path]:
+    """Where an interrupted campaign's human-readable manifest goes:
+    next to the store it resumes from (none without a cache)."""
+    return cache.root / f"{name}.partial.json" if cache is not None else None
+
+
+def _report_interrupted(
+    exc: CampaignInterrupted, name: str, cache: Optional[ResultCache]
+) -> int:
+    """Render a graceful partial stop: write the partial manifest, say
+    how to continue, exit 130 — never a stack trace."""
     print(f"[{name} interrupted] {exc}", file=sys.stderr)
-    if exc.journal is not None:
-        path = exc.journal.write_partial_manifest(records)
-        if path:
-            print(f"[{name}] partial manifest: {path}", file=sys.stderr)
+    path = _partial_manifest(cache, name)
+    if path is not None:
+        payload = {
+            "campaign": name,
+            "completed": len(exc.outcomes),
+            "total": exc.total,
+            "cells": [
+                {
+                    "spec": json.loads(spec_key(outcome.spec)),
+                    "ok": outcome.ok,
+                    "kind": outcome.kind,
+                    "cached": outcome.cached,
+                }
+                for outcome in exc.outcomes
+            ],
+        }
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"[{name}] partial manifest: {path}", file=sys.stderr)
     return EXIT_INTERRUPTED
 
 
@@ -489,6 +500,7 @@ def _exp_run(args) -> int:
             "nothing to run: give experiment names or --all "
             "(see 'silo-repro exp list')"
         )
+    _check_resume(args)
     overrides = _parse_overrides(args.overrides)
     # Resolve every name before running anything: an unknown experiment
     # is a usage error, not a partial campaign.
@@ -508,6 +520,7 @@ def _exp_run(args) -> int:
         trace_store=trace_store,
         cell_timeout=_parse_cell_timeout(args.cell_timeout),
         retries=args.retries,
+        resume=args.resume,
     )
     failures = 0
     partials = 0
@@ -518,12 +531,6 @@ def _exp_run(args) -> int:
             if args.all
             else overrides
         )
-        campaign_key = (
-            f"exp|{spec.name}|smoke={args.smoke}|engine={args.engine}|"
-            + json.dumps(applicable, sort_keys=True, default=repr)
-        )
-        journal = _campaign_journal(args, campaign_key)
-        executor.journal = journal
         started = time.time()
         # The executor is shared across studies and its stats are
         # lifetime totals; the footer reports this study's share.
@@ -538,15 +545,14 @@ def _exp_run(args) -> int:
                 **applicable,
             )
         except CampaignInterrupted as exc:
-            return _report_interrupted(exc, spec.name)
+            return _report_interrupted(exc, spec.name, cache)
         except ExecutionError as exc:
             print(f"[{spec.name} FAILED]\n{exc}", file=sys.stderr)
             failures += 1
             continue
-        if journal is not None:
-            # Clean completion: the checkpoint has served its purpose
-            # (reusable outcomes live on in the result cache).
-            journal.discard()
+        if cache is not None:
+            # Clean completion: an earlier interruption's note is stale.
+            _partial_manifest(cache, spec.name).unlink(missing_ok=True)
         is_partial = isinstance(result, PartialCampaignResult)
         partials += is_partial
         if args.fmt == "json":
@@ -562,15 +568,11 @@ def _exp_run(args) -> int:
         print(render(result, args.fmt))
         if args.fmt == "report":
             stats = executor.stats
-            journal_hits = stats.journal_hits - before.journal_hits
-            journal_text = (
-                f", {journal_hits} journal-served" if journal_hits else ""
-            )
             print(
                 f"[{spec.name} completed in {time.time() - started:.1f}s; "
                 f"campaign: {stats.cells - before.cells} cells, "
-                f"{stats.cache_hits - before.cache_hits} cached"
-                f"{journal_text}, {executor.jobs} jobs]\n"
+                f"{stats.cache_hits - before.cache_hits} cached, "
+                f"{executor.jobs} jobs]\n"
             )
     if args.fmt == "json" and json_docs:
         if len(json_docs) == 1 and not args.all:
@@ -598,16 +600,19 @@ def _exp_main(argv: List[str]) -> int:
 
 
 def _cache_command(args) -> int:
-    cache = ResultCache(args.cache_dir)
-    traces = TraceArtifactStore(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        removed_traces = traces.clear()
-        print(f"removed {removed} cache entries from {cache.root}")
-        print(f"removed {removed_traces} trace artifacts from {traces.root}")
-    else:
-        print(cache.format_stats())
-        print(traces.format_stats())
+    """``cache stats|clear`` over every namespace of the store."""
+    for namespace in (
+        ResultCache(args.cache_dir),
+        TraceArtifactStore(args.cache_dir),
+    ):
+        if args.action == "clear":
+            removed = namespace.clear()
+            print(
+                f"removed {removed} {namespace.name} entries from "
+                f"{namespace.root / namespace.name}"
+            )
+        else:
+            print(namespace.format_stats())
     return 0
 
 
@@ -649,8 +654,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--resume is only supported for 'faultsweep' and 'litmus' "
             "here (and for 'silo-repro exp run')"
         )
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the result cache (drop --no-cache)")
+    try:
+        _check_resume(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
@@ -668,35 +675,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_store=trace_store,
         cell_timeout=cell_timeout,
         retries=args.retries,
+        resume=args.resume,
     )
     name = args.experiment
-    journal = None
-    if name in ("faultsweep", "litmus") and cache is not None:
-        campaign_key = (
-            f"faultsweep|seed={args.seed}|points={args.crash_points}"
-            f"|smoke={args.smoke}"
-            if name == "faultsweep"
-            else f"litmus|smoke={args.smoke}"
-        )
-        try:
-            journal = _campaign_journal(args, campaign_key)
-        except ConfigError as exc:
-            print(f"silo-repro: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    executor.journal = journal
     started = time.time()
     try:
         result = _EXPERIMENTS[name](args, executor)
     except CampaignInterrupted as exc:
-        return _report_interrupted(exc, name)
+        return _report_interrupted(exc, name, cache)
     except ExecutionError as exc:
         print(f"[{name} FAILED]\n{exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ConfigError as exc:
         print(f"silo-repro: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if journal is not None:
-        journal.discard()
+    if cache is not None:
+        _partial_manifest(cache, name).unlink(missing_ok=True)
     print(result.format_report())
     # Validation sweeps (crashtest/faultsweep) fail the run on oracle
     # violations, not only on raised cells.

@@ -12,13 +12,15 @@ module is the one execution service they all share:
   processes (``jobs=1`` is the exact in-process serial path), streams
   per-cell progress/ETA to stderr, isolates failures (a cell that
   raises is reported with its traceback while the campaign continues)
-  and consults a :class:`~repro.harness.resultcache.ResultCache` so
-  previously computed cells are served from disk;
+  and consults the ``results`` namespace of the on-disk store
+  (:class:`~repro.harness.resultcache.ResultCache`) so previously
+  settled cells are served from disk;
 * each worker process memoizes trace construction per
   ``(workload, threads, transactions, kwargs)``, so a trace is built
   once and replayed read-only under every scheme — never per cell;
-* an optional :class:`~repro.harness.traceartifacts.TraceArtifactStore`
-  lifts trace synthesis + columnar decode out of the per-process memo
+* the store's ``traces`` namespace
+  (:class:`~repro.harness.traceartifacts.TraceArtifactStore`) lifts
+  trace synthesis + columnar decode out of the per-process memo
   entirely: the parent builds each distinct pending recipe once per
   campaign, workers load the serialized flat columns zero-parse;
 * small cells are dispatched in **batches** per pool task (auto-sized
@@ -33,14 +35,14 @@ module is the one execution service they all share:
   records a ``timeout``; bounded retries (``retries``) with
   deterministic, jitterless exponential backoff respawn a fresh pool
   after a broken one and re-run only the genuinely-unfinished cells —
-  survivors are never blanket-failed; a
-  :class:`~repro.harness.journal.CampaignJournal` checkpoints every
-  completed outcome incrementally so an interrupted campaign resumes
-  where it stopped; and SIGINT drains gracefully, raising
-  :class:`CampaignInterrupted` with the journal flushed instead of a
-  bare stack trace.  None of these options is part of a cell's content
-  address: retries and timeouts change *whether and when* a cell runs,
-  never what it computes.
+  survivors are never blanket-failed; every settled outcome (``ok`` or
+  deterministic ``error``) is written to the result store once, the
+  moment it finishes, so a ``resume`` run serves them all and re-runs
+  only the cells that never settled; and SIGINT drains gracefully,
+  raising :class:`CampaignInterrupted` with every settled cell already
+  stored instead of a bare stack trace.  None of these options is part
+  of a cell's content address: retries and timeouts change *whether
+  and when* a cell runs, never what it computes.
 
 Determinism: cells share no mutable state (each gets a fresh
 :class:`~repro.sim.system.System`; the engine never mutates the trace;
@@ -75,7 +77,8 @@ from repro.common.errors import ConfigError, ExecutionError
 from repro.designs.scheme import SchemeRegistry
 from repro.faults.oracle import FaultVerdict, check_fault_aware_durability
 from repro.faults.plan import FaultPlan
-from repro.harness.resultcache import MISS, ResultCache
+from repro.harness.resultcache import ResultCache
+from repro.harness.store import MISS
 from repro.obs import ObsConfig
 from repro.sim.columnar import ColumnarEngine
 from repro.sim.crash import CrashPlan
@@ -156,7 +159,8 @@ class WorkloadSpec:
 _TRACE_MEMO: Dict[WorkloadSpec, Trace] = {}
 
 #: Per-process trace-artifact store (L2 behind the memo), installed by
-#: the executor in the parent and by :func:`_pool_init` in workers.
+#: the executor in the parent for the length of one ``run()`` and by
+#: :func:`_pool_init` in workers.
 _TRACE_STORE = None
 
 #: Per-process chaos plan (test/CI fault injection for the harness
@@ -196,7 +200,6 @@ class CellSpec:
     the *fault-aware* oracle when the cell carries a ``fault_plan``
     (its unattributed mismatches and silent corruptions are the
     failures), the exact clean oracle otherwise.
-    ``repeats`` reruns the identical cell and records every wall time.
     ``obs`` enables the observability layer for the cell; it is part
     of the content address (an obs-enabled outcome carries events and
     metrics a plain one does not, so they must not share a cache slot).
@@ -221,7 +224,6 @@ class CellSpec:
     crash_plan: Optional[CrashPlan] = None
     fault_plan: Optional[FaultPlan] = None
     verify: bool = False
-    repeats: int = 1
     obs: Optional[ObsConfig] = None
     engine: str = "exact"
     capture_image: bool = False
@@ -257,8 +259,8 @@ class CellOutcome:
     """What one cell produced.
 
     Exactly one of ``result`` / ``error`` is set.  ``seconds`` holds
-    the per-repeat wall times measured where the cell actually ran
-    (cache hits replay the recorded times of the original run).
+    the one wall time measured where the cell actually ran (a 1-tuple;
+    cache hits replay the recorded time of the original run).
 
     ``kind`` classifies the outcome:
 
@@ -327,7 +329,8 @@ def spec_key(spec: CellSpec) -> str:
             spec.fault_plan.to_json_dict() if spec.fault_plan else None
         ),
         "verify": spec.verify,
-        "repeats": spec.repeats,
+        # A retired field, kept constant so no cell address moves.
+        "repeats": 1,
         "obs": spec.obs.to_json_dict() if spec.obs is not None else None,
     }
     if spec.engine != "exact":
@@ -367,23 +370,18 @@ def execute_cell(spec: CellSpec) -> CellOutcome:
         raise ConfigError(
             f"unknown engine {spec.engine!r} (exact or columnar)"
         )
-    seconds: List[float] = []
-    result = None
-    system = None
-    engine = None
-    for _ in range(max(1, spec.repeats)):
-        system = System(config, obs=spec.obs)
-        scheme = SchemeRegistry.create(spec.scheme, system)
-        engine = engine_cls(
-            system,
-            scheme,
-            trace,
-            crash_plan=spec.crash_plan,
-            fault_plan=spec.fault_plan,
-        )
-        started = time.perf_counter()
-        result = engine.run()
-        seconds.append(time.perf_counter() - started)
+    system = System(config, obs=spec.obs)
+    scheme = SchemeRegistry.create(spec.scheme, system)
+    engine = engine_cls(
+        system,
+        scheme,
+        trace,
+        crash_plan=spec.crash_plan,
+        fault_plan=spec.fault_plan,
+    )
+    started = time.perf_counter()
+    result = engine.run()
+    seconds = (time.perf_counter() - started,)
     engine_stats = (
         engine.engine_stats() if hasattr(engine, "engine_stats") else None
     )
@@ -405,7 +403,7 @@ def execute_cell(spec: CellSpec) -> CellOutcome:
     return CellOutcome(
         spec=spec,
         result=result,
-        seconds=tuple(seconds),
+        seconds=seconds,
         mismatches=mismatches,
         fault_verdict=fault_verdict,
         engine_stats=engine_stats,
@@ -479,7 +477,6 @@ class CampaignStats:
     cells: int = 0
     executed: int = 0
     cache_hits: int = 0
-    journal_hits: int = 0
     failures: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -494,19 +491,17 @@ class CampaignInterrupted(ExecutionError):
     """Raised when a campaign drains after SIGINT.
 
     Carries everything the caller needs to report a *graceful* partial
-    stop: the completed outcomes (all journaled/cached where stores are
-    attached), the total cell count, and the journal that checkpoints
-    them for ``--resume``.
+    stop: the completed outcomes (each settled one already in the
+    result store, when one is attached) and the total cell count.
     """
 
-    def __init__(self, outcomes: List[CellOutcome], total: int, journal=None):
+    def __init__(self, outcomes: List[CellOutcome], total: int):
         self.outcomes = outcomes
         self.total = total
-        self.journal = journal
         super().__init__(
             f"campaign interrupted: {len(outcomes)} of {total} cells "
-            "completed (journal flushed — re-run with --resume to "
-            "continue where it stopped)"
+            "completed (settled cells are stored — re-run with --resume "
+            "to continue where it stopped)"
         )
 
 
@@ -517,8 +512,12 @@ class Executor:
     cell in the calling process, in order — the exact historical
     serial path (same trace memo, same per-cell code).  ``cache`` is a
     :class:`ResultCache` or ``None`` (no reads, no writes); ``fresh``
-    recomputes every cell but still writes the cache.  ``progress``
-    streams ``done/total`` + ETA lines to stderr.
+    recomputes every cell but still writes the cache.  Each settled
+    cell (``ok`` or ``error``) is written once per run; a lookup serves
+    only ``ok`` outcomes unless ``resume`` is set, when stored errors
+    are served too, so an interrupted campaign re-runs only the cells
+    that never settled.  ``progress`` streams ``done/total`` + ETA
+    lines to stderr.
 
     ``batch`` sets how many cells ride one pool task: ``None``
     auto-sizes batches from a cheap per-cell cost estimate (targeting
@@ -557,11 +556,6 @@ class Executor:
     seconds) between rounds.  A broken pool is respawned fresh; cells
     that already finished are never re-run or blanket-failed.
 
-    ``journal`` attaches a
-    :class:`~repro.harness.journal.CampaignJournal`: completed
-    outcomes (kinds ``ok``/``error``) are checkpointed incrementally
-    and served back on a resumed run.
-
     ``chaos`` installs a :class:`~repro.harness.chaos.ChaosPlan` in
     every worker (self-test only: injected kills/hangs/transient
     raises must be invisible in final results).
@@ -578,7 +572,7 @@ class Executor:
         cell_timeout=None,
         retries: int = 0,
         retry_backoff: float = 0.5,
-        journal=None,
+        resume: bool = False,
         chaos=None,
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
@@ -594,7 +588,7 @@ class Executor:
         self.cell_timeout = cell_timeout
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
-        self.journal = journal
+        self.resume = resume
         self.chaos = chaos
         self.stats = CampaignStats()
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -645,7 +639,7 @@ class Executor:
         if self._pool is None:
             store = self.trace_store
             initargs = (
-                (str(store.root.parent), store.fingerprint)
+                (str(store.root), store.fingerprint)
                 if store is not None
                 else (None, None)
             ) + (self.chaos,)
@@ -664,37 +658,32 @@ class Executor:
         """Execute every cell; outcomes are returned in input order.
 
         Raises :class:`CampaignInterrupted` on SIGINT/``^C``: the pool
-        is torn down, completed outcomes stay checkpointed in the
-        attached journal/cache, and the exception carries them for a
-        graceful partial report instead of a bare stack trace.
+        is torn down, settled outcomes stay in the attached result
+        store, and the exception carries them for a graceful partial
+        report instead of a bare stack trace.
         """
+        global _TRACE_STORE
+        # Only this run's cells may read or fill this executor's store:
+        # a later store-less run (or a direct ``execute_cell``) must not
+        # write into a store whose owner has moved on.
+        _TRACE_STORE = self.trace_store
+        try:
+            return self._run(cells)
+        finally:
+            _TRACE_STORE = None
+
+    def _run(self, cells: Sequence[CellSpec]) -> List[CellOutcome]:
         started = time.monotonic()
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         pending: List[int] = []
-        journal = self.journal
 
         for index, spec in enumerate(cells):
-            if self.fresh:
-                pending.append(index)
-                continue
-            key = (
-                spec_key(spec)
-                if self.cache is not None or journal is not None
-                else None
-            )
-            if self.cache is not None:
-                hit = self.cache.get(key)
+            if self.cache is not None and not self.fresh:
+                hit = self.cache.get(spec_key(spec), errors=self.resume)
                 if hit is not MISS and isinstance(hit, CellOutcome):
                     hit.cached = True
                     outcomes[index] = hit
                     self.stats.cache_hits += 1
-                    continue
-            if journal is not None:
-                hit = journal.get(key)
-                if hit is not MISS and isinstance(hit, CellOutcome):
-                    hit.cached = True
-                    outcomes[index] = hit
-                    self.stats.journal_hits += 1
                     if not hit.ok:
                         self.stats.failures += 1
                     continue
@@ -725,12 +714,10 @@ class Executor:
                     self.stats.infra_final += 1
                 else:
                     self.stats.errors += 1
-            if outcome.ok and self.cache is not None:
+            if self.cache is not None and outcome.kind in ("ok", "error"):
+                # Settled outcomes are stored; timeout/infra describe
+                # the infrastructure and must re-run on resume.
                 self.cache.put(spec_key(outcome.spec), outcome)
-            if journal is not None and outcome.kind in ("ok", "error"):
-                # Deterministic outcomes checkpoint; timeout/infra
-                # describe the infrastructure and must re-run on resume.
-                journal.put(spec_key(outcome.spec), outcome)
             self._report(
                 served + done_live, len(cells), served, started, done_live, len(pending)
             )
@@ -789,14 +776,12 @@ class Executor:
                 unfinished = [index for index, _, _ in retryable]
         except KeyboardInterrupt:
             # Graceful drain: kill the workers (a second ^C must not be
-            # needed), keep every completed outcome — all checkpointed
-            # already — and hand the caller a partial campaign.
+            # needed), keep every completed outcome — settled ones are
+            # stored already — and hand the caller a partial campaign.
             self._kill_pool_workers()
             self.stats.elapsed_seconds += time.monotonic() - started
             completed = [o for o in outcomes if o is not None]
-            raise CampaignInterrupted(
-                completed, len(cells), journal=journal
-            ) from None
+            raise CampaignInterrupted(completed, len(cells)) from None
 
         self.stats.elapsed_seconds += time.monotonic() - started
         self._report(
@@ -808,9 +793,8 @@ class Executor:
     def _prebuild_traces(self, cells, pending) -> None:
         """Build every distinct pending workload recipe once, in the
         parent, so workers (and the serial path) only ever load
-        artifacts.  Installs the store as this process's L2 too."""
-        global _TRACE_STORE
-        _TRACE_STORE = store = self.trace_store
+        artifacts."""
+        store = self.trace_store
         seen = set()
         for index in pending:
             wspec = cells[index].workload
@@ -828,9 +812,9 @@ class Executor:
     # ------------------------------------------------------------------
     def _cell_cost(self, spec: CellSpec) -> int:
         """Cheap relative cost estimate: ops scale with threads x
-        transactions, wall time with repeats."""
+        transactions."""
         w = spec.workload
-        return max(1, w.threads * w.transactions * max(1, spec.repeats))
+        return max(1, w.threads * w.transactions)
 
     def _plan_batches(self, cells, pending) -> List[List[int]]:
         """Chunk pending cell indices into per-task batches.
@@ -1109,7 +1093,6 @@ def cell_spec_to_json(spec: CellSpec) -> str:
             spec.fault_plan.to_json_dict() if spec.fault_plan else None
         ),
         "verify": spec.verify,
-        "repeats": spec.repeats,
         "obs": spec.obs.to_json_dict() if spec.obs is not None else None,
     }
     # Non-default fields are emitted only when set, keeping historical
@@ -1124,6 +1107,11 @@ def cell_spec_to_json(spec: CellSpec) -> str:
 def cell_spec_from_json(text: str) -> CellSpec:
     """Rebuild the cell a repro command names."""
     data = json.loads(text)
+    if data.get("repeats", 1) != 1:
+        raise ConfigError(
+            "cell field 'repeats' is retired; only the legacy value 1 "
+            f"is accepted, got {data['repeats']!r}"
+        )
     w = data["workload"]
     crash = data.get("crash_plan")
     fault = data.get("fault_plan")
@@ -1147,7 +1135,6 @@ def cell_spec_from_json(text: str) -> CellSpec:
         ),
         fault_plan=FaultPlan.from_json_dict(fault) if fault else None,
         verify=data.get("verify", False),
-        repeats=data.get("repeats", 1),
         obs=ObsConfig.from_json_dict(data.get("obs")),
         engine=data.get("engine", "exact"),
         capture_image=data.get("capture_image", False),

@@ -26,27 +26,18 @@ This store lifts both out of the per-cell path:
   the first columnar run of a loaded trace skips analysis entirely.
 
 The executor builds every distinct pending recipe once in the parent
-before fanning out, so workers only ever *load*.  Artifacts live under
-``<cache-root>/traces/`` with the result cache's sharded layout;
-``silo-repro cache stats`` / ``cache clear`` account for and manage
-both stores.
+before fanning out, so workers only ever *load*.  Artifacts are the
+``traces`` namespace of the store (:mod:`repro.harness.store`), which
+owns their layout, atomic writes and hardened loads; this module keeps
+only the column codec and ``load``/``build``/``ensure``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import pickle
-import tempfile
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from repro.harness.resultcache import (
-    MISS,
-    default_cache_dir,
-    load_pickle_hardened,
-)
+from repro.harness.store import MISS, Namespace, source_fingerprint
 from repro.sim.columnar import (
     DECODE_VERSION,
     export_decode_columns,
@@ -56,40 +47,6 @@ from repro.sim.columnar import (
 from repro.trace.ops import Load, Store
 from repro.trace.trace import ThreadTrace, Trace, Transaction
 from repro.workloads.registry import build_workload
-
-#: Bump to orphan every artifact after an incompatible layout change.
-_FORMAT_VERSION = 1
-
-_FINGERPRINT_MEMO: Dict[str, str] = {}
-
-
-def trace_source_fingerprint() -> str:
-    """SHA-256 over the sources that determine a built trace and its
-    decode: ``repro/trace``, ``repro/workloads``, ``repro/litmus``
-    (pattern lowering) and the columnar decode version.
-
-    Deliberately *narrower* than the result cache's whole-package
-    fingerprint: a timing-model edit changes every simulated result
-    but not the traces, so artifacts survive it.
-    """
-    import repro
-
-    root = Path(repro.__file__).parent
-    memo = _FINGERPRINT_MEMO.get(str(root))
-    if memo is not None:
-        return memo
-    digest = hashlib.sha256()
-    digest.update(f"decode-v{DECODE_VERSION}\0".encode())
-    for sub in ("trace", "workloads", "litmus"):
-        base = root / sub
-        for path in sorted(base.rglob("*.py"), key=lambda p: str(p.relative_to(base))):
-            digest.update(f"{sub}/{path.relative_to(base)}".encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-    value = digest.hexdigest()
-    _FINGERPRINT_MEMO[str(root)] = value
-    return value
 
 
 def _columns_from_trace(trace: Trace) -> dict:
@@ -121,7 +78,6 @@ def _columns_from_trace(trace: Trace) -> dict:
         addrs.append(a)
         vals.append(v)
     return {
-        "version": _FORMAT_VERSION,
         "name": trace.name,
         "tids": tids,
         "tx_lens": tx_lens,
@@ -135,7 +91,8 @@ def _columns_from_trace(trace: Trace) -> dict:
 
 def _trace_from_columns(columns: dict) -> Trace:
     """Rebuild the trace by slot assignment — no validation re-runs
-    (the builder validated once, at artifact-build time)."""
+    (the builder validated once, at artifact-build time) — and seed
+    its decode columns into the columnar engine's memo."""
     store_new = Store.__new__
     load_new = Load.__new__
     threads = []
@@ -172,30 +129,29 @@ def _trace_from_columns(columns: dict) -> Trace:
     trace.threads = threads
     trace.initial_image = columns["image"]
     trace.name = columns["name"]
+    seed_decode_columns(trace, columns["decode"])
     return trace
 
 
-class TraceArtifactStore:
-    """Sharded pickle store of built+decoded workload traces.
+class TraceArtifactStore(Namespace):
+    """Built + decoded workload traces under ``<root>/traces/``."""
 
-    ``root`` is the *cache* root (the store nests under
-    ``<root>/traces/``), so one ``--cache-dir`` governs both stores.
-    """
+    name = "traces"
 
-    def __init__(
-        self, root: Optional[str] = None, fingerprint: Optional[str] = None
-    ) -> None:
-        self.root = Path(root if root is not None else default_cache_dir()) / "traces"
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else trace_source_fingerprint()
+    @classmethod
+    def scope(cls) -> str:
+        """The sources that determine a built trace and its decode:
+        ``repro/trace``, ``repro/workloads``, ``repro/litmus`` (pattern
+        lowering) and the columnar decode version.
+
+        Deliberately *narrower* than the results' whole-package
+        fingerprint: a timing-model edit changes every simulated result
+        but not the traces, so artifacts survive it.
+        """
+        return source_fingerprint(
+            ("trace", "workloads", "litmus"), salt=f"decode-v{DECODE_VERSION}"
         )
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
 
-    # ------------------------------------------------------------------
-    # Addressing
-    # ------------------------------------------------------------------
     @staticmethod
     def key(spec: Any) -> str:
         """Canonical JSON of one workload recipe (duck-typed so the
@@ -211,69 +167,18 @@ class TraceArtifactStore:
             default=repr,
         )
 
-    def digest(self, key: str) -> str:
-        h = hashlib.sha256()
-        h.update(f"v{_FORMAT_VERSION}\0".encode())
-        h.update(self.fingerprint.encode())
-        h.update(b"\0")
-        h.update(key.encode())
-        return h.hexdigest()
-
-    def _path(self, digest: str) -> Path:
-        return self.root / "objects" / digest[:2] / f"{digest}.pkl"
-
-    # ------------------------------------------------------------------
-    # Load / build
-    # ------------------------------------------------------------------
     def load(self, spec: Any) -> Optional[Trace]:
-        """Load the artifact for ``spec``; ``None`` on miss.
-
-        A truncated or corrupt pickle is quarantined (renamed to
-        ``*.corrupt``) and treated as a miss, so the recipe is simply
-        rebuilt; a well-formed artifact of a stale format version is a
-        plain miss (it is overwritten in place by the rebuild)."""
-        path = self._path(self.digest(self.key(spec)))
-        columns = load_pickle_hardened(path, label="trace store")
-        if columns is MISS:
-            self.misses += 1
-            return None
-        if (
-            not isinstance(columns, dict)
-            or columns.get("version") != _FORMAT_VERSION
-        ):
-            self.misses += 1
-            return None
-        trace = _trace_from_columns(columns)
-        seed_decode_columns(trace, columns["decode"])
-        self.hits += 1
-        return trace
-
-    def put(self, spec: Any, trace: Trace) -> None:
-        """Store the artifact (atomic rename, last wins)."""
-        path = self._path(self.digest(self.key(spec)))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(
-                    _columns_from_trace(trace),
-                    fh,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Load the artifact for ``spec``; ``None`` on miss (a corrupt
+        or malformed artifact is quarantined and rebuilt)."""
+        trace = self._tally(self.read(self.key(spec), _trace_from_columns))
+        return None if trace is MISS else trace
 
     def ensure(self, spec: Any, trace: Trace) -> None:
         """Serialize an already-built ``trace`` for ``spec`` unless its
         artifact is already on disk (decode columns ride along)."""
-        if self._path(self.digest(self.key(spec))).exists():
-            return
-        self.put(spec, trace)
+        key = self.key(spec)
+        if not self.path(key).exists():
+            self.write(key, _columns_from_trace(trace))
 
     def build(self, spec: Any) -> Trace:
         """Load the artifact, or synthesize + decode + store it."""
@@ -287,64 +192,5 @@ class TraceArtifactStore:
             **dict(spec.kwargs),
         )
         precompute_trace(trace)
-        self.builds += 1
-        self.put(spec, trace)
+        self.write(self.key(spec), _columns_from_trace(trace))
         return trace
-
-    # ------------------------------------------------------------------
-    # Management
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        entries = 0
-        total_bytes = 0
-        objects = self.root / "objects"
-        if objects.is_dir():
-            for path in objects.rglob("*.pkl"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        return {
-            "root": str(self.root),
-            "entries": entries,
-            "bytes": total_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "fingerprint": self.fingerprint[:16],
-        }
-
-    def clear(self) -> int:
-        removed = 0
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return 0
-        for path in objects.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        for path in objects.rglob("*.corrupt"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        for shard in sorted(objects.glob("*"), reverse=True):
-            try:
-                shard.rmdir()
-            except OSError:
-                continue
-        return removed
-
-    def format_stats(self) -> str:
-        s = self.stats()
-        requests = s["hits"] + s["misses"]
-        rate = f"{s['hits'] / requests:.0%}" if requests else "n/a"
-        return (
-            f"traces {s['root']}: {s['entries']} artifacts, "
-            f"{s['bytes'] / 1024:.1f} KiB, fingerprint {s['fingerprint']} "
-            f"(this process: {s['hits']} hits / {s['misses']} misses, "
-            f"hit rate {rate}, {s['builds']} built)"
-        )

@@ -31,10 +31,12 @@ class TestChaosHarness:
         result = run(smoke=True, jobs=2, output=str(output))
         assert result.passed, result.format_report()
         names = [phase.name for phase in result.phases]
-        assert names == ["baseline", "kill", "hang", "raise", "corrupt"]
+        assert names == [
+            "baseline", "kill", "hang", "raise", "corrupt", "resume"
+        ]
         payload = json.loads(output.read_text())
         assert payload["passed"] is True
         assert payload["experiment"] == "chaos"
-        assert len(payload["phases"]) == 5
+        assert len(payload["phases"]) == 6
         report = result.format_report()
         assert "OVERALL: PASS" in report

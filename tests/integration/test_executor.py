@@ -6,10 +6,12 @@ cache hit must reproduce a live run bit-for-bit, and one failing cell
 must not take the campaign down with it.
 """
 
+import json
+
 import pytest
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ExecutionError
+from repro.common.errors import ConfigError, ExecutionError
 from repro.faults.plan import FaultPlan
 from repro.harness.executor import (
     CellSpec,
@@ -107,16 +109,24 @@ class TestCellKinds:
         assert outcome.result.crashed
         assert outcome.mismatches == []
 
-    def test_repeats_record_every_sample(self):
+    def test_seconds_is_one_sample(self):
         spec = CellSpec(
             workload=WorkloadSpec.make("hash", threads=1, transactions=5),
             scheme="silo",
             cores=1,
-            repeats=3,
         )
         outcome = execute_cell(spec)
-        assert len(outcome.seconds) == 3
-        assert all(s > 0 for s in outcome.seconds)
+        assert isinstance(outcome.seconds, tuple)
+        assert len(outcome.seconds) == 1 and outcome.seconds[0] > 0
+
+    def test_spec_key_keeps_the_retired_repeats_field(self):
+        # Cache keys, golden manifests and the ledger digests hash it.
+        spec = CellSpec(
+            workload=WorkloadSpec.make("hash", threads=1, transactions=5),
+            scheme="silo",
+            cores=1,
+        )
+        assert json.loads(spec_key(spec))["repeats"] == 1
 
 
 class TestFailureIsolation:
@@ -291,6 +301,16 @@ class TestFaultPlanCells:
         assert rebuilt == spec
         assert spec_key(rebuilt) == spec_key(spec)
 
+    def test_spec_json_accepts_only_the_legacy_repeats(self):
+        spec = self.fault_cell(None)
+        payload = json.loads(cell_spec_to_json(spec))
+        assert "repeats" not in payload
+        payload["repeats"] = 1
+        assert cell_spec_from_json(json.dumps(payload)) == spec
+        payload["repeats"] = 3
+        with pytest.raises(ConfigError, match="repeats"):
+            cell_spec_from_json(json.dumps(payload))
+
 
 class TestBatching:
     """Cell batching is dispatch packaging only: per-cell results,
@@ -410,10 +430,30 @@ class TestTraceArtifactStore:
         spec = WorkloadSpec.make("queue", threads=1, transactions=4)
         store = TraceArtifactStore(str(tmp_path / "cache"))
         store.build(spec)
-        (path,) = (store.root / "objects").rglob("*.pkl")
+        (path,) = (store.root / store.name).rglob("*.pkl")
         with open(path, "wb") as fh:
             pickle.dump({"version": -1}, fh)
         assert store.load(spec) is None
+
+    def test_store_serves_only_its_own_executor(self, tmp_path):
+        from repro.harness.executor import _TRACE_MEMO
+        from repro.harness.traceartifacts import TraceArtifactStore
+
+        store = TraceArtifactStore(str(tmp_path / "cache"))
+        Executor(jobs=1, trace_store=store).run(small_cells()[:1])
+        assert store.stats()["entries"] == 1
+        # A later store-less run (and a direct cell) builds its own
+        # traces instead of writing into the earlier executor's store.
+        _TRACE_MEMO.clear()
+        run_cells(small_cells()[2:], jobs=1)
+        execute_cell(
+            CellSpec(
+                workload=WorkloadSpec.make("btree", threads=1, transactions=3),
+                scheme="silo",
+                cores=1,
+            )
+        )
+        assert store.stats()["entries"] == 1
 
     def test_clear_removes_artifacts(self, tmp_path):
         from repro.harness.traceartifacts import TraceArtifactStore

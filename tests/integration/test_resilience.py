@@ -1,6 +1,6 @@
 """Integration tests for the executor's resilience layer: outcome
-kinds, the watchdog, bounded retries, the campaign journal,
-interrupt draining and checkpoint/resume."""
+kinds, the watchdog, bounded retries, settled outcomes in the result
+store, interrupt draining and resume."""
 
 import json
 import os
@@ -22,8 +22,8 @@ from repro.harness.experiments.engine import (
     lower,
     run_campaign,
 )
-from repro.harness.journal import CampaignJournal
 from repro.harness.resultcache import ResultCache
+from repro.harness.traceartifacts import TraceArtifactStore
 
 
 def small_cells(n=4):
@@ -145,59 +145,88 @@ class TestTeardown:
         assert ex._pool is None
 
 
-class TestJournal:
-    def test_journal_serves_completed_cells(self, tmp_path):
+def bogus_cell():
+    """A cell whose own code raises: a deterministic ``error``."""
+    return CellSpec(
+        workload=WorkloadSpec.make("hash", threads=1, transactions=2),
+        scheme="silo",
+        cores=1,
+        engine="bogus",
+    )
+
+
+class TestStoredOutcomes:
+    def test_resume_serves_settled_cells(self, tmp_path):
         cells = small_cells(3)
         with Executor(
-            jobs=1,
-            journal=CampaignJournal(str(tmp_path), "t", fingerprint="fp"),
+            jobs=1, cache=ResultCache(str(tmp_path), fingerprint="fp")
         ) as ex:
             first = ex.run(cells)
         assert ex.stats.executed == 3
         with Executor(
             jobs=1,
-            journal=CampaignJournal(str(tmp_path), "t", fingerprint="fp"),
+            cache=ResultCache(str(tmp_path), fingerprint="fp"),
+            resume=True,
         ) as ex2:
             second = ex2.run(cells)
         assert ex2.stats.executed == 0
-        assert ex2.stats.journal_hits == 3
+        assert ex2.stats.cache_hits == 3
         assert all(o.cached for o in second)
         assert [o.result.committed for o in second] == [
             o.result.committed for o in first
         ]
 
-    def test_error_outcomes_are_journaled_too(self, tmp_path):
-        bad = CellSpec(
-            workload=WorkloadSpec.make("hash", threads=1, transactions=2),
-            scheme="silo",
-            cores=1,
-            engine="bogus",
-        )
-        journal = CampaignJournal(str(tmp_path), "t", fingerprint="fp")
-        with Executor(jobs=1, journal=journal) as ex:
-            ex.run([bad])
-        assert journal.entries() == 1
-        with Executor(
-            jobs=1,
-            journal=CampaignJournal(str(tmp_path), "t", fingerprint="fp"),
-        ) as ex2:
-            outcomes = ex2.run([bad])
-        assert ex2.stats.journal_hits == 1
+    def test_error_outcomes_are_served_only_to_a_resumed_run(self, tmp_path):
+        cache = ResultCache(str(tmp_path), fingerprint="fp")
+        with Executor(jobs=1, cache=cache) as ex:
+            ex.run([bogus_cell()])
+        assert cache.stats()["entries"] == 1
+        # A plain run re-executes the stored error...
+        with Executor(jobs=1, cache=cache) as plain:
+            outcomes = plain.run([bogus_cell()])
+        assert plain.stats.executed == 1 and plain.stats.cache_hits == 0
+        assert not outcomes[0].cached
+        # ...a resumed one serves it.
+        with Executor(jobs=1, cache=cache, resume=True) as ex2:
+            outcomes = ex2.run([bogus_cell()])
+        assert ex2.stats.executed == 0 and ex2.stats.cache_hits == 1
         assert not outcomes[0].ok and outcomes[0].kind == "error"
         assert ex2.stats.failures == 1
 
-    def test_interrupt_drains_with_journal_flushed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [{}, {"fresh": True}, {"resume": True}], ids=str
+    )
+    def test_each_settled_cell_is_written_once_per_run(self, tmp_path, flags):
+        cells = small_cells(3) + [bogus_cell()]
+        cache = ResultCache(str(tmp_path), fingerprint="fp")
+        writes = []
+        put = cache.put
+        cache.put = lambda key, value: (writes.append(key), put(key, value))
+        with Executor(
+            jobs=2,
+            batch=1,
+            cache=cache,
+            trace_store=TraceArtifactStore(str(tmp_path)),
+            **flags,
+        ) as ex:
+            ex.run(cells)
+        assert sorted(writes) == sorted(spec_key(c) for c in cells)
+        # One file per settled cell plus one per distinct recipe: no
+        # second copy anywhere under the cache root.
+        recipes = {c.workload for c in cells}
+        assert len(list(tmp_path.rglob("*.pkl"))) == len(cells) + len(recipes)
+
+    def test_interrupt_drains_with_settled_cells_stored(self, tmp_path):
         cells = small_cells(6)
-        journal = CampaignJournal(str(tmp_path), "t", fingerprint="fp")
+        cache = ResultCache(str(tmp_path), fingerprint="fp")
         plan = ChaosPlan(interrupt_after=2)
-        ex = Executor(jobs=2, batch=1, journal=journal, chaos=plan)
+        ex = Executor(jobs=2, batch=1, cache=cache, chaos=plan)
         with pytest.raises(CampaignInterrupted) as info:
             ex.run(cells)
         exc = info.value
         assert len(exc.outcomes) == 2
         assert exc.total == 6
-        assert exc.journal is journal
-        assert journal.entries() == 2
+        assert cache.stats()["entries"] == 2
         assert "--resume" in str(exc)
         # The drain killed and reaped the pool.
         assert ex._pool is None
@@ -240,7 +269,6 @@ class TestResume:
             jobs=2,
             batch=1,
             cache=ResultCache(str(dir_a)),
-            journal=CampaignJournal(str(dir_a), "k"),
             chaos=ChaosPlan(interrupt_after=1),
         )
         with pytest.raises(CampaignInterrupted) as info:
@@ -253,24 +281,20 @@ class TestResume:
         dir_b = tmp_path / "b"
         shutil.copytree(dir_a, dir_b)
 
-        # Resume in A (journal kept).
+        # Resume in A.
         ex_a = Executor(
             jobs=2,
             batch=1,
             cache=ResultCache(str(dir_a)),
-            journal=CampaignJournal(str(dir_a), "k"),
+            resume=True,
         )
         result_a, campaign_a = run_campaign(spec, executor=ex_a, smoke=True)
         ex_a.close()
         # Only the unfinished cells ran; the rest were store-served.
         assert ex_a.stats.executed == total - completed
-        assert (
-            ex_a.stats.cache_hits + ex_a.stats.journal_hits == completed
-        )
+        assert ex_a.stats.cache_hits == completed
 
-        # Cold completion in B without --resume (journal discarded, the
-        # CLI's non-resume path).
-        CampaignJournal(str(dir_b), "k").discard()
+        # Completion in B without --resume (the CLI's plain path).
         ex_b = Executor(jobs=2, batch=1, cache=ResultCache(str(dir_b)))
         result_b, campaign_b = run_campaign(spec, executor=ex_b, smoke=True)
         ex_b.close()

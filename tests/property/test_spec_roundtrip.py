@@ -88,7 +88,6 @@ def cell_specs(draw):
         crash_plan=draw(st.none() | crash_plans()),
         fault_plan=draw(st.none() | fault_plans()),
         verify=draw(st.booleans()),
-        repeats=draw(st.integers(1, 3)),
         obs=draw(st.none() | obs_configs()),
         engine=draw(st.sampled_from(["exact", "columnar"])),
         capture_image=draw(st.booleans()),

@@ -20,6 +20,8 @@ from repro.harness.cli import (
     _EXPERIMENTS,
     main,
 )
+from repro.harness import executor as executor_module
+from repro.harness.executor import CampaignInterrupted, CellOutcome
 from repro.harness.experiments import CATALOG_MODULES, load_all
 
 
@@ -144,6 +146,19 @@ class TestResilienceFlags:
         )
         assert "--resume needs the result cache" in capsys.readouterr().err
 
+    def test_exp_resume_contradicts_fresh(self, capsys):
+        assert (
+            main(["exp", "run", "table1", "--resume", "--fresh"])
+            == EXIT_USAGE
+        )
+        assert "--fresh" in capsys.readouterr().err
+
+    def test_legacy_resume_contradicts_fresh(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faultsweep", "--smoke", "--resume", "--fresh"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--fresh" in capsys.readouterr().err
+
     def test_legacy_resume_is_faultsweep_only(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["crashtest", "--resume"])
@@ -244,3 +259,74 @@ class TestSuccess:
         ]
         assert "campaign: 2 cells, 2 cached" in footers[0], footers
         assert "campaign: 2 cells, 0 cached" in footers[1], footers
+
+
+def _one_cell_raises(monkeypatch, scheme="silo"):
+    """Make every ``scheme`` cell raise: a deterministic error outcome."""
+    original = executor_module.execute_cell
+
+    def execute_cell(spec):
+        if spec.scheme == scheme:
+            raise RuntimeError("injected cell failure")
+        return original(spec)
+
+    monkeypatch.setattr(executor_module, "execute_cell", execute_cell)
+
+
+class TestCacheCommand:
+    def test_stats_and_clear_cover_every_namespace(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        root = tmp_path / "repro-cache"
+        _one_cell_raises(monkeypatch)
+        argv = ["exp", "run", "fig12", "--smoke", "--jobs", "1"]
+        assert main(argv) == EXIT_FAILURE
+        capsys.readouterr()
+        # One ok and one stored error outcome, one shared trace recipe.
+        assert main(["cache", "stats"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"results {root / 'results'}: 2 entries")
+        assert lines[1].startswith(f"traces {root / 'traces'}: 1 entries")
+        assert len(list(root.rglob("*.pkl"))) == 3
+        assert main(["cache", "clear"]) == EXIT_OK
+        assert "removed 2 results entries" in capsys.readouterr().out
+        assert list(root.rglob("*.pkl")) == []
+
+
+class TestInterrupted:
+    def interrupt(self, monkeypatch):
+        cell = executor_module.CellSpec(
+            workload=executor_module.WorkloadSpec.make(
+                "hash", threads=1, transactions=2
+            ),
+            scheme="silo",
+            cores=1,
+        )
+
+        def _interrupted(spec, **kw):
+            raise CampaignInterrupted([CellOutcome(spec=cell, result=1)], 3)
+
+        monkeypatch.setattr(cli, "run_campaign", _interrupted)
+
+    def test_partial_manifest_written_next_to_the_store(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        run_campaign = cli.run_campaign
+        self.interrupt(monkeypatch)
+        assert main(["exp", "run", "fig13", "--smoke"]) == EXIT_INTERRUPTED
+        path = tmp_path / "repro-cache" / "fig13.partial.json"
+        assert str(path) in capsys.readouterr().err
+        payload = json.loads(path.read_text())
+        assert payload["campaign"] == "fig13"
+        assert payload["completed"] == 1 and payload["total"] == 3
+        assert payload["cells"][0]["kind"] == "ok"
+        # A clean completion drops the stale note.
+        monkeypatch.setattr(cli, "run_campaign", run_campaign)
+        assert main(["exp", "run", "fig13", "--smoke", "--jobs", "1"]) == EXIT_OK
+        assert not path.exists()
+
+    def test_no_manifest_without_the_cache(self, monkeypatch, tmp_path):
+        self.interrupt(monkeypatch)
+        argv = ["exp", "run", "fig13", "--smoke", "--no-cache"]
+        assert main(argv) == EXIT_INTERRUPTED
+        assert not (tmp_path / "repro-cache").exists()
