@@ -17,12 +17,18 @@ tracing and maintenance tools.  Examples::
     silo-repro exp run fig15 --fresh     # recompute, refresh the cache
     silo-repro exp run --all --jobs 8
     silo-repro crashtest --crash-points 3
+    silo-repro crashtest --crash-points 3 --resume   # after a Ctrl-C
     silo-repro faultsweep --smoke --jobs 2
-    silo-repro litmus --smoke --jobs 2
+    silo-repro litmus --smoke --jobs 2 --output LITMUS_smoke.json
     silo-repro trace --scheme all
     silo-repro chaos --smoke --jobs 2
     silo-repro cache stats
     silo-repro cache clear
+
+``crashtest``, ``faultsweep`` and ``litmus`` are the three presets of
+one crash-verification campaign (:mod:`repro.harness.verify`): one
+judge, one report, one JSON schema written to ``--output`` (default:
+the command's name, e.g. ``LITMUS.json``).
 
 Exit codes are uniform across all subcommands: 0 on success, 1 when
 an experiment fails (a raised cell or an oracle violation), 2 on a
@@ -74,20 +80,25 @@ EXIT_INTERRUPTED = 130
 
 _EXPERIMENTS = {
     "crashtest": lambda args, ex: crashtest.run(
-        points_per_pair=args.crash_points, seed=args.seed, executor=ex
+        points_per_pair=args.crash_points,
+        seed=args.seed,
+        executor=ex,
+        output=args.output,
+        trace_output=args.trace_output,
     ),
     "faultsweep": lambda args, ex: faultsweep.run(
         points_per_pair=args.crash_points,
         seed=args.seed,
         executor=ex,
-        output=args.fault_output,
+        output=args.output,
         smoke=args.smoke,
-        trace_output=args.fault_trace_output,
+        trace_output=args.trace_output,
     ),
     "litmus": lambda args, ex: litmus.run(
         smoke=args.smoke,
         executor=ex,
-        output=args.litmus_output,
+        output=args.output,
+        trace_output=args.trace_output,
     ),
     "trace": lambda args, ex: tracecmd.run(
         scheme=args.scheme,
@@ -99,9 +110,70 @@ _EXPERIMENTS = {
 }
 
 
+def _executor_flags() -> argparse.ArgumentParser:
+    """The flags that configure the :class:`Executor`, shared by every
+    campaign command and ``exp run``."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes to fan cells across (default: all CPUs; "
+        "1 = in-process serial execution)",
+    )
+    flags.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the result cache entirely (no reads, no writes)",
+    )
+    flags.add_argument(
+        "--fresh",
+        action="store_true",
+        help="recompute every cell, overwriting its cache entry",
+    )
+    flags.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default: $SILO_CACHE_DIR or "
+        ".repro-cache)",
+    )
+    flags.add_argument(
+        "--batch",
+        type=int,
+        default=None,
+        help="cells per worker task (default: auto-sized from a cheap "
+        "cost estimate; 1 = one task per cell)",
+    )
+    flags.add_argument(
+        "--cell-timeout",
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock watchdog per cell: a task exceeding "
+        "SECONDS x its cell count has its worker killed and the cells "
+        "recorded as 'timeout' (or retried); 'auto' calibrates from "
+        "observed completions, 0 disables (default: off)",
+    )
+    flags.add_argument(
+        "--retries",
+        type=int,
+        default=0,
+        help="re-dispatch cells whose worker died or timed out up to N "
+        "extra times, with exponential backoff (default: 0)",
+    )
+    flags.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue an interrupted campaign from the result cache, "
+        "re-running only the cells that never settled (needs the "
+        "cache; not with --fresh)",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silo-repro",
+        parents=[_executor_flags()],
         description="Reproduce the Silo paper (HPCA 2023) on the "
         "trace-driven simulator.  'silo-repro exp list|run' regenerates "
         "its tables and figures; the commands below validate, trace "
@@ -147,89 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0)",
     )
     parser.add_argument(
-        "--fault-output",
-        default="FAULTSWEEP.json",
-        help="faultsweep only: where to write the campaign report "
-        "(default: FAULTSWEEP.json)",
+        "--output",
+        default=None,
+        help="crashtest/faultsweep/litmus/chaos: where to write the "
+        "JSON report (default: the command's name, e.g. LITMUS.json)",
     )
     parser.add_argument(
         "--trace-output",
-        dest="fault_trace_output",
         default=None,
-        help="faultsweep only: also write a Chrome/Perfetto trace of "
-        "one representative faulted cell (crash + recovery events)",
-    )
-    parser.add_argument(
-        "--litmus-output",
-        default="LITMUS.json",
-        help="litmus only: where to write the campaign report "
-        "(default: LITMUS.json)",
+        help="crashtest/faultsweep/litmus: also write a Chrome/Perfetto "
+        "trace of one representative crashed cell (the first faulted "
+        "one, if any), crash and recovery events included",
     )
     parser.add_argument(
         "--spec",
         default=None,
         help="replay only: the cell-spec JSON printed by a failing "
-        "crashtest/faultsweep cell",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes to fan cells across (default: all CPUs; "
-        "1 = in-process serial execution)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache entirely (no reads, no writes)",
-    )
-    parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute every cell, overwriting its cache entry",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $SILO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="cells per worker task (default: auto-sized from a cheap "
-        "cost estimate; 1 = one task per cell)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per cell: a task exceeding "
-        "SECONDS x its cell count has its worker killed and the cells "
-        "recorded as 'timeout' (or retried); 'auto' calibrates from "
-        "observed completions, 0 disables (default: off)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-dispatch cells whose worker died or timed out up to N "
-        "extra times, with exponential backoff (default: 0)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="faultsweep/litmus (and 'exp run'): continue an "
-        "interrupted campaign from the result cache, re-running only "
-        "the cells that never settled (needs the cache; not with "
-        "--fresh)",
-    )
-    parser.add_argument(
-        "--chaos-output",
-        default="CHAOS.json",
-        help="chaos only: where to write the self-test report "
-        "(default: CHAOS.json)",
+        "crashtest/faultsweep/litmus cell",
     )
     parser.add_argument(
         "--smoke",
@@ -276,7 +282,9 @@ def build_exp_parser() -> argparse.ArgumentParser:
         help="machine-readable listing (name/figure/description/params)",
     )
 
-    p_run = sub.add_parser("run", help="run one or more experiments")
+    p_run = sub.add_parser(
+        "run", parents=[_executor_flags()], help="run one or more experiments"
+    )
     p_run.add_argument(
         "names",
         nargs="*",
@@ -333,59 +341,6 @@ def build_exp_parser() -> argparse.ArgumentParser:
         "applied only to the specs that declare it",
     )
     p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes to fan cells across (default: all CPUs; "
-        "1 = in-process serial execution)",
-    )
-    p_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache entirely (no reads, no writes)",
-    )
-    p_run.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute every cell, overwriting its cache entry",
-    )
-    p_run.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $SILO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    p_run.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="cells per worker task (default: auto-sized from a cheap "
-        "cost estimate; 1 = one task per cell)",
-    )
-    p_run.add_argument(
-        "--cell-timeout",
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per cell: a task exceeding "
-        "SECONDS x its cell count has its worker killed and the cells "
-        "recorded as 'timeout' (or retried); 'auto' calibrates from "
-        "observed completions, 0 disables (default: off)",
-    )
-    p_run.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-dispatch cells whose worker died or timed out up to N "
-        "extra times, with exponential backoff (default: 0)",
-    )
-    p_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted campaign from the result cache, "
-        "re-running only the cells that never settled (needs the "
-        "cache; not with --fresh)",
-    )
-    p_run.add_argument(
         "--partial",
         action="store_true",
         help="degrade gracefully: render failed/timed-out cells as "
@@ -395,31 +350,51 @@ def build_exp_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_cell_timeout(value):
-    """``--cell-timeout`` values: ``None``/``0`` off, ``"auto"``, or a
-    positive float of seconds."""
-    if value is None:
-        return None
-    if value == "auto":
-        return "auto"
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise ConfigError(
-            f"--cell-timeout expects a number of seconds or 'auto', "
-            f"got {value!r}"
-        )
-    return seconds if seconds > 0 else None
-
-
-def _check_resume(args) -> None:
-    """``--resume`` serves what the result cache holds, so it needs the
-    cache and contradicts ``--fresh`` (which reads nothing)."""
+def _build_executor(args, progress: bool = True):
+    """``(executor, result cache)`` configured from the executor flags;
+    the cache is ``None`` under ``--no-cache``."""
+    # --resume serves what the result cache holds, so it needs the
+    # cache and contradicts --fresh (which reads nothing).
     if args.resume and args.no_cache:
         raise ConfigError("--resume needs the result cache (drop --no-cache)")
     if args.resume and args.fresh:
         raise ConfigError("--resume and --fresh contradict each other "
                           "(--fresh re-runs every cell)")
+    # --cell-timeout: unset or 0 is off, else "auto" or seconds.
+    cell_timeout = args.cell_timeout
+    if cell_timeout not in (None, "auto"):
+        try:
+            cell_timeout = max(float(cell_timeout), 0.0) or None
+        except ValueError:
+            raise ConfigError(
+                f"--cell-timeout expects a number of seconds or 'auto', "
+                f"got {cell_timeout!r}"
+            )
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    executor = Executor(
+        jobs=args.jobs,
+        cache=cache,
+        fresh=args.fresh,
+        progress=progress,
+        batch=args.batch,
+        trace_store=None if args.no_cache else TraceArtifactStore(args.cache_dir),
+        cell_timeout=cell_timeout,
+        retries=args.retries,
+        resume=args.resume,
+    )
+    return executor, cache
+
+
+def _footer(name: str, started: float, executor: Executor, before) -> str:
+    """One campaign's closing line.  The executor's stats are lifetime
+    totals, so the caller passes a copy taken when the campaign began."""
+    stats = executor.stats
+    return (
+        f"[{name} completed in {time.time() - started:.1f}s; "
+        f"campaign: {stats.cells - before.cells} cells, "
+        f"{stats.cache_hits - before.cache_hits} cached, "
+        f"{executor.jobs} jobs]\n"
+    )
 
 
 def _partial_manifest(cache: Optional[ResultCache], name: str) -> Optional[Path]:
@@ -500,7 +475,6 @@ def _exp_run(args) -> int:
             "nothing to run: give experiment names or --all "
             "(see 'silo-repro exp list')"
         )
-    _check_resume(args)
     overrides = _parse_overrides(args.overrides)
     # Resolve every name before running anything: an unknown experiment
     # is a usage error, not a partial campaign.
@@ -509,19 +483,7 @@ def _exp_run(args) -> int:
         if args.all
         else [registry.get(name) for name in args.names]
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
-    executor = Executor(
-        jobs=args.jobs,
-        cache=cache,
-        fresh=args.fresh,
-        progress=args.fmt == "report",
-        batch=args.batch,
-        trace_store=trace_store,
-        cell_timeout=_parse_cell_timeout(args.cell_timeout),
-        retries=args.retries,
-        resume=args.resume,
-    )
+    executor, cache = _build_executor(args, progress=args.fmt == "report")
     failures = 0
     partials = 0
     json_docs: Dict[str, object] = {}
@@ -532,8 +494,8 @@ def _exp_run(args) -> int:
             else overrides
         )
         started = time.time()
-        # The executor is shared across studies and its stats are
-        # lifetime totals; the footer reports this study's share.
+        # The executor is shared across studies; the footer reports
+        # this study's share.
         before = replace(executor.stats)
         try:
             result, campaign = run_campaign(
@@ -567,13 +529,7 @@ def _exp_run(args) -> int:
             continue
         print(render(result, args.fmt))
         if args.fmt == "report":
-            stats = executor.stats
-            print(
-                f"[{spec.name} completed in {time.time() - started:.1f}s; "
-                f"campaign: {stats.cells - before.cells} cells, "
-                f"{stats.cache_hits - before.cache_hits} cached, "
-                f"{executor.jobs} jobs]\n"
-            )
+            print(_footer(spec.name, started, executor, before))
     if args.fmt == "json" and json_docs:
         if len(json_docs) == 1 and not args.all:
             (payload,) = json_docs.values()
@@ -638,47 +594,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if result.passed else EXIT_FAILURE
     if args.spec is not None:
         parser.error("--spec is only valid with the 'replay' command")
-    if args.experiment == "chaos":
+    name = args.experiment
+    args.output = args.output or f"{name.upper()}.json"
+    if name == "chaos":
         from repro.harness import chaos
 
         result = chaos.run(
             smoke=args.smoke,
             jobs=args.jobs if args.jobs is not None else 2,
             seed=args.seed,
-            output=args.chaos_output,
+            output=args.output,
         )
         print(result.format_report())
         return EXIT_OK if result.passed else EXIT_FAILURE
-    if args.resume and args.experiment not in ("faultsweep", "litmus"):
-        parser.error(
-            "--resume is only supported for 'faultsweep' and 'litmus' "
-            "here (and for 'silo-repro exp run')"
-        )
     try:
-        _check_resume(args)
-    except ConfigError as exc:
-        parser.error(str(exc))
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
-    try:
-        cell_timeout = _parse_cell_timeout(args.cell_timeout)
+        executor, cache = _build_executor(args)
     except ConfigError as exc:
         print(f"silo-repro: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    executor = Executor(
-        jobs=args.jobs,
-        cache=cache,
-        fresh=args.fresh,
-        progress=True,
-        batch=args.batch,
-        trace_store=trace_store,
-        cell_timeout=cell_timeout,
-        retries=args.retries,
-        resume=args.resume,
-    )
-    name = args.experiment
     started = time.time()
+    before = replace(executor.stats)
     try:
         result = _EXPERIMENTS[name](args, executor)
     except CampaignInterrupted as exc:
@@ -692,17 +627,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cache is not None:
         _partial_manifest(cache, name).unlink(missing_ok=True)
     print(result.format_report())
-    # Validation sweeps (crashtest/faultsweep) fail the run on oracle
-    # violations, not only on raised cells.
+    # Crash-verification campaigns fail the run on oracle violations,
+    # not only on raised cells.
     passed = getattr(result, "passed", True) is not False
     if not passed:
         print(f"[{name} FAILED: oracle violations]", file=sys.stderr)
-    stats = executor.stats
-    print(
-        f"[{name} completed in {time.time() - started:.1f}s; "
-        f"campaign: {stats.cells} cells, {stats.cache_hits} cached, "
-        f"{executor.jobs} jobs]\n"
-    )
+    print(_footer(name, started, executor, before))
     return EXIT_OK if passed else EXIT_FAILURE
 
 

@@ -368,45 +368,37 @@ BOUNDARY_SCHEMES = (
 def check_boundary_cells(report: EquivalenceReport) -> None:
     """Run the two crash-point boundary cells under both engines;
     append any divergence or oracle violation to ``report.mismatches``."""
-    from repro.common.config import SystemConfig
-    from repro.designs.scheme import SchemeRegistry
-    from repro.sim.columnar import ColumnarEngine
+    from repro.harness.executor import CellSpec, WorkloadSpec, execute_cell
+    from repro.harness.verify import judge
     from repro.sim.crash import CrashPlan
-    from repro.sim.engine import TransactionEngine
-    from repro.sim.system import System
-    from repro.sim.verify import check_atomic_durability
-    from repro.workloads.registry import build_workload
 
-    trace = build_workload("hash", threads=2, transactions=4)
-    total_ops = sum(
-        len(tx.ops) + 2 for th in trace.threads for tx in th.transactions
-    )
-    for at_op in (0, total_ops):
+    workload = WorkloadSpec.make("hash", threads=2, transactions=4)
+    for at_op in (0, workload.build().total_ops):
         for scheme_name in BOUNDARY_SCHEMES:
             report.stress_cells += 1
             where = f"boundary at_op={at_op}/{scheme_name}"
             results = {}
-            for engine_name, engine_cls in (
-                ("exact", TransactionEngine),
-                ("columnar", ColumnarEngine),
-            ):
-                system = System(SystemConfig.table2(2))
-                result = engine_cls(
-                    system,
-                    SchemeRegistry.create(scheme_name, system),
-                    trace,
-                    crash_plan=CrashPlan(at_op=at_op),
-                ).run()
-                if not result.crashed:
+            for engine_name in ("exact", "columnar"):
+                outcome = execute_cell(
+                    CellSpec(
+                        workload=workload,
+                        scheme=scheme_name,
+                        cores=2,
+                        crash_plan=CrashPlan(at_op=at_op),
+                        verify=True,
+                        engine=engine_name,
+                    )
+                )
+                if not outcome.result.crashed:
                     report.mismatches.append(
                         f"{where}: {engine_name} engine did not crash"
                     )
-                if check_atomic_durability(system, trace, result.committed):
+                if not judge(outcome).ok:
                     report.mismatches.append(
                         f"{where}: {engine_name} engine violated atomic "
                         "durability"
                     )
-                results[engine_name] = result
+                results[engine_name] = outcome.result
             exact, col = results["exact"], results["columnar"]
             compare_results(report, where, exact, col)
             if exact.recovery != col.recovery:

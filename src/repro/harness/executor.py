@@ -353,11 +353,7 @@ def execute_cell(spec: CellSpec) -> CellOutcome:
         stats = TraceStats(
             mean_write_size_bytes=trace.mean_write_size_bytes(),
             total_transactions=trace.total_transactions,
-            total_ops=sum(
-                len(tx.ops) + 2
-                for thread in trace.threads
-                for tx in thread.transactions
-            ),
+            total_ops=trace.total_ops,
         )
         return CellOutcome(spec=spec, result=stats)
 

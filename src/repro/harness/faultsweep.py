@@ -1,54 +1,37 @@
 """Randomized fault-injection campaigns (``silo-repro faultsweep``).
 
-The crashtest sweep validates recovery under *clean* power failures;
-this harness turns the device against the designs.  For every
-(workload, scheme) pair it draws seeded crash points, attaches a
-rotating set of fault presets — torn drains, dropped WPQ entries,
-log-region bit errors, data-region bit errors, and a mixed "storm" —
-and fans the cells through the parallel executor.  Each cell is judged
-by the fault-aware oracle (:mod:`repro.faults.oracle`):
-
-* **tolerated** — recovery rebuilt a correct image, or every residual
-  mismatch is explained by an injected fault that recovery *reported*;
-* **violation** — a mismatch outside the injected blast radius (a
-  genuine recovery bug);
-* **silent** — injected damage recovery absorbed without reporting.
-  The campaign's hard gate: zero silent corruptions, always.
-
-Every draw comes from one seeded RNG before any cell runs, so the
-campaign is a fixed cell list: bit-identical verdicts at any ``--jobs``
-count, cacheable by spec, and any failing cell prints a one-line
-``replay`` command reproducing it in isolation.
+The faulted preset of the one crash-verification campaign
+(:mod:`repro.harness.verify`): where ``crashtest`` validates recovery
+under clean power failures, this preset turns the device against the
+designs.  Its seeded crash points rotate through the fault presets
+below (torn drains, dropped WPQ entries, log-region bit errors,
+data-region bit errors and a mixed "storm"), each cell is judged by the
+fault-aware oracle (:mod:`repro.faults.oracle`), and every cell runs
+with the obs metrics registry on, summed over the campaign.  The hard
+gate: zero silent corruptions (injected damage recovery absorbed
+without reporting), always.
 """
 
 from __future__ import annotations
 
-import json
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.faults.plan import FaultPlan
-from repro.harness.crashtest import DEFAULT_SCHEMES, _total_ops
-from repro.harness.executor import (
-    CellSpec,
-    Executor,
-    WorkloadSpec,
-    aggregate_outcome_metrics,
-    execute_cell,
-    raise_on_failures,
-    repro_command,
+from repro.harness.executor import Executor
+from repro.harness.verify import (
+    CLEAN,
+    RANDOM_DESIGNS,
+    CampaignResult,
+    FaultPreset,
+    Preset,
+    random_sources,
+    run_campaign,
 )
-from repro.harness.report import format_table
 from repro.obs import ObsConfig
-from repro.obs.export import write_chrome_trace
-from repro.sim.crash import CrashPlan
 
 #: Fault presets rotated across crash points.  ``clean`` keeps a
 #: no-fault control in every campaign so clean-crash behaviour is
 #: continuously pinned against the fault machinery.
-_PRESETS: Tuple[Tuple[str, Optional[Dict[str, object]]], ...] = (
-    ("clean", None),
+FAULT_PRESETS: Tuple[FaultPreset, ...] = CLEAN + (
     ("tear", {"tear_prob": 0.7}),
     ("drop", {"drop_prob": 0.7}),
     ("logflip", {"log_bitflips": 2}),
@@ -56,107 +39,16 @@ _PRESETS: Tuple[Tuple[str, Optional[Dict[str, object]]], ...] = (
     ("storm", {"tear_prob": 0.3, "drop_prob": 0.3, "log_bitflips": 1, "data_bitflips": 2}),
 )
 
-
-@dataclass
-class FaultSweepResult:
-    """Outcome of one fault-injection campaign."""
-
-    runs: int = 0
-    tolerated: int = 0
-    violations: int = 0
-    silent: int = 0
-    #: Total faults injected / reported across the campaign, by kind.
-    injected: Dict[str, int] = field(default_factory=dict)
-    reported: Dict[str, int] = field(default_factory=dict)
-    #: ``scheme -> (runs, violations, silent)``.
-    per_scheme: Dict[str, Tuple[int, int, int]] = field(default_factory=dict)
-    #: ``(scheme, workload, point, preset, what went wrong)`` per failure.
-    failure_details: List[Tuple[str, str, str, str, str]] = field(
-        default_factory=list
-    )
-    #: One copy-pasteable replay command per failure, same order.
-    failure_commands: List[str] = field(default_factory=list)
-    #: Aggregated obs metrics of the whole campaign (JSON form of a
-    #: :class:`~repro.obs.MetricsRegistry`): WPQ occupancy and stall
-    #: histograms, per-phase cycle attribution, summed over every cell.
-    metrics: Optional[Dict[str, object]] = None
-    #: Where the representative Chrome trace artifact landed, if asked.
-    trace_path: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0 and self.silent == 0
-
-    def format_report(self) -> str:
-        rows = [
-            [
-                scheme,
-                runs,
-                violations,
-                silent,
-                "PASS" if violations == 0 and silent == 0 else "FAIL",
-            ]
-            for scheme, (runs, violations, silent) in sorted(
-                self.per_scheme.items()
-            )
-        ]
-        table = format_table(
-            ["scheme", "fault cells", "violations", "silent", "verdict"],
-            rows,
-            title="Fault-injection sweep (fault-aware atomic durability)",
-        )
-        lines = [
-            table,
-            "",
-            f"faults injected: {sum(self.injected.values())} "
-            f"({json.dumps(self.injected, sort_keys=True)})",
-            f"faults reported: {sum(self.reported.values())} "
-            f"({json.dumps(self.reported, sort_keys=True)})",
-        ]
-        if self.trace_path:
-            lines.append(f"trace artifact: {self.trace_path}")
-        if self.failure_details:
-            lines += ["", "failures:"]
-            for (scheme, workload, point, preset, what), cmd in zip(
-                self.failure_details[:5], self.failure_commands[:5]
-            ):
-                lines.append(f"  {scheme}/{workload} @ {point} [{preset}]: {what}")
-                lines.append(f"    replay: {cmd}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "metrics": self.metrics,
-            "runs": self.runs,
-            "tolerated": self.tolerated,
-            "violations": self.violations,
-            "silent": self.silent,
-            "passed": self.passed,
-            "injected": dict(sorted(self.injected.items())),
-            "reported": dict(sorted(self.reported.items())),
-            "per_scheme": {
-                scheme: {"runs": r, "violations": v, "silent": s}
-                for scheme, (r, v, s) in sorted(self.per_scheme.items())
-            },
-            "failures": [
-                {
-                    "scheme": scheme,
-                    "workload": workload,
-                    "point": point,
-                    "preset": preset,
-                    "detail": what,
-                    "replay": cmd,
-                }
-                for (scheme, workload, point, preset, what), cmd in zip(
-                    self.failure_details, self.failure_commands
-                )
-            ],
-        }
+PRESET = Preset(
+    name="faultsweep",
+    title="Fault-injection sweep (fault-aware atomic durability)",
+    obs=ObsConfig(metrics=True),
+)
 
 
 def run(
     workloads: Sequence[str] = ("hash", "btree"),
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    schemes: Sequence[str] = RANDOM_DESIGNS,
     points_per_pair: int = 12,
     threads: int = 2,
     transactions: int = 8,
@@ -165,140 +57,23 @@ def run(
     output: Optional[str] = None,
     smoke: bool = False,
     trace_output: Optional[str] = None,
-) -> FaultSweepResult:
-    """Sweep (crash point x fault preset) cells over every
-    (scheme, workload) pair; optionally write the campaign report to
-    ``output`` as JSON.
-
-    Every cell runs with the obs metrics registry enabled, and the
-    campaign report aggregates the histograms/phase cycles across all
-    cells.  ``trace_output`` additionally re-runs the campaign's first
-    faulted cell with event tracing on and writes its Chrome trace
-    (crash + recovery events included) as a loadable artifact."""
+) -> CampaignResult:
+    """Sweep (crash point x fault preset) cells over every (design,
+    workload) pair.  ``smoke`` shrinks the grid to one small workload
+    and six points; ``output`` writes the JSON report and
+    ``trace_output`` a Chrome trace of the first faulted cell."""
     if smoke:
         workloads = ("hash",)
         points_per_pair = min(points_per_pair, 6)
         transactions = min(transactions, 6)
-    rng = random.Random(seed)
-    result = FaultSweepResult()
-
-    cells: List[CellSpec] = []
-    labels: List[Tuple[str, str, str, str]] = []
-    for workload in workloads:
-        wspec = WorkloadSpec.make(
-            workload, threads=threads, transactions=transactions
-        )
-        ops = _total_ops(wspec.build())
-        plans: List[Tuple[str, CrashPlan, str, Optional[FaultPlan]]] = []
-        for point in range(points_per_pair):
-            if rng.random() < 0.25:
-                tid = rng.randrange(threads)
-                index = rng.randrange(transactions)
-                label = f"commit({tid},{index})"
-                crash = CrashPlan(at_commit_of=(tid, index))
-            else:
-                at = rng.randrange(ops)
-                label = f"op {at}"
-                crash = CrashPlan(at_op=at)
-            preset_name, preset_kwargs = _PRESETS[point % len(_PRESETS)]
-            fault = (
-                FaultPlan(seed=rng.randrange(1 << 30), **preset_kwargs)
-                if preset_kwargs is not None
-                else None
-            )
-            plans.append((label, crash, preset_name, fault))
-
-        for scheme in schemes:
-            for label, crash, preset_name, fault in plans:
-                cells.append(
-                    CellSpec(
-                        workload=wspec,
-                        scheme=scheme,
-                        cores=threads,
-                        crash_plan=crash,
-                        fault_plan=fault,
-                        verify=True,
-                        obs=ObsConfig(metrics=True),
-                    )
-                )
-                labels.append((workload, scheme, label, preset_name))
-
-    outcomes = (executor if executor is not None else Executor(jobs=1)).run(cells)
-    raise_on_failures(outcomes)
-
-    for (workload, scheme, label, preset), outcome in zip(labels, outcomes):
-        runs, violations, silent = result.per_scheme.get(scheme, (0, 0, 0))
-        result.runs += 1
-        runs += 1
-        problems: List[str] = []
-        verdict = outcome.fault_verdict
-        if verdict is not None:
-            for kind, count in verdict.injected.items():
-                result.injected[kind] = result.injected.get(kind, 0) + count
-            for kind, count in verdict.reported.items():
-                result.reported[kind] = result.reported.get(kind, 0) + count
-            if verdict.silent:
-                result.silent += 1
-                silent += 1
-                problems.append(verdict.describe())
-            if verdict.unattributed:
-                result.violations += 1
-                violations += 1
-                if not verdict.silent:
-                    problems.append(verdict.describe())
-        elif outcome.mismatches:
-            # Clean-control cell: the plain oracle applies unchanged.
-            result.violations += 1
-            violations += 1
-            addr, got, want = outcome.mismatches[0]
-            problems.append(
-                f"{len(outcome.mismatches)} mismatch(es), first at "
-                f"{addr:#x}: got {got:#x}, want {want:#x}"
-            )
-        if problems:
-            result.failure_details.append(
-                (scheme, workload, label, preset, "; ".join(problems))
-            )
-            result.failure_commands.append(repro_command(outcome.spec))
-        else:
-            result.tolerated += 1
-        result.per_scheme[scheme] = (runs, violations, silent)
-
-    aggregated = aggregate_outcome_metrics(outcomes)
-    if aggregated is not None:
-        result.metrics = aggregated.to_json_dict()
-
-    if trace_output:
-        result.trace_path = _write_trace_artifact(cells, trace_output)
-
-    if output:
-        with open(output, "w") as handle:
-            json.dump(result.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return result
-
-
-def _write_trace_artifact(cells: Sequence[CellSpec], path: str) -> Optional[str]:
-    """Re-run the first faulted cell with event tracing and export it.
-
-    One representative trace per campaign is enough for a CI artifact;
-    the replay command reproduces any *specific* cell on demand.  Runs
-    in-process (the cells are tiny) with an obs-enabled spec, so it
-    never collides with the campaign's cached outcomes.
-    """
-    chosen = next((c for c in cells if c.fault_plan is not None), None)
-    if chosen is None:
-        chosen = next(iter(cells), None)
-    if chosen is None:
-        return None
-    spec = CellSpec(
-        workload=chosen.workload,
-        scheme=chosen.scheme,
-        cores=chosen.cores,
-        crash_plan=chosen.crash_plan,
-        fault_plan=chosen.fault_plan,
-        obs=ObsConfig(events=True, metrics=True),
+    sources = random_sources(
+        workloads, points_per_pair, threads, transactions, seed, FAULT_PRESETS
     )
-    outcome = execute_cell(spec)
-    write_chrome_trace(outcome.result, path)
-    return path
+    return run_campaign(
+        PRESET,
+        sources,
+        schemes,
+        executor=executor,
+        output=output,
+        trace_output=trace_output,
+    )

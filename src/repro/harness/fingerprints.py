@@ -76,11 +76,7 @@ def _run_one(scheme_name: str, params: Dict[str, float], fraction: float):
     scheme = SchemeRegistry.create(scheme_name, system)
     crash_plan = None
     if fraction >= 0:
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         crash_plan = CrashPlan(at_op=min(int(fraction * total_ops), total_ops))
     engine = TransactionEngine(system, scheme, trace, crash_plan=crash_plan)
     result = engine.run()

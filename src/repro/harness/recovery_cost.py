@@ -93,11 +93,7 @@ def _workload_spec(p) -> WorkloadSpec:
 def _crash_at(p) -> int:
     # The trace build is memoized per process, so recomputing the
     # crash point for every scheme's cell costs one build total.
-    trace = _workload_spec(p).build()
-    total_ops = sum(
-        len(tx.ops) + 2 for thread in trace.threads for tx in thread.transactions
-    )
-    return int(total_ops * p["crash_fraction"])
+    return int(_workload_spec(p).build().total_ops * p["crash_fraction"])
 
 
 def _row(point, outcome) -> RecoveryCostRow:

@@ -1,11 +1,12 @@
-"""Replay one crashtest/faultsweep cell in isolation.
+"""Replay one crash-verification cell in isolation.
 
 ``silo-repro replay --jobs 1 --spec '<json>'`` re-executes exactly the
-cell a failing campaign printed — same workload recipe, scheme, crash
-point and fault plan — in the calling process, then prints the full
-verdict (recovery report, injected/reported fault accounting, oracle
-mismatches).  This is the debugging entry point for randomized sweeps:
-a failure is reproducible without re-running the campaign.
+cell a failing crashtest, faultsweep or litmus campaign printed (same
+workload recipe, scheme, crash point and fault plan) in the calling
+process, then prints the full verdict: recovery report,
+injected/reported fault accounting, oracle mismatches.  The verdict is
+the campaign's own :func:`repro.harness.verify.judge`, so a failure is
+reproducible without re-running the campaign.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.harness.executor import (
     cell_spec_from_json,
     execute_cell,
 )
+from repro.harness.verify import judge
 
 
 @dataclass
@@ -30,11 +32,7 @@ class ReplayResult:
 
     @property
     def passed(self) -> bool:
-        if not self.outcome.ok:
-            return False
-        if self.outcome.fault_verdict is not None:
-            return self.outcome.fault_verdict.ok
-        return not self.outcome.mismatches
+        return self.outcome.ok and judge(self.outcome).ok
 
     def format_report(self) -> str:
         spec = self.spec
@@ -78,15 +76,18 @@ class ReplayResult:
                 f"  mismatches : {len(verdict.mismatches)} total, "
                 f"{len(verdict.unattributed)} unattributed"
             )
-            if verdict.silent:
-                lines.append(f"  SILENT     : {verdict.silent}")
         elif outcome.mismatches is not None:
             lines.append(f"  mismatches : {len(outcome.mismatches)}")
             for addr, got, want in outcome.mismatches[:5]:
                 lines.append(
                     f"    {addr:#x}: got {got:#x}, want {want:#x}"
                 )
-        lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
+        judged = judge(outcome)
+        if judged.kind != "ok":
+            lines.append(f"  oracle     : {judged.detail}")
+        if judged.disagreement:
+            lines.append(f"  DISAGREE   : {judged.disagreement}")
+        lines.append(f"verdict: {'PASS' if judged.ok else 'FAIL'}")
         return "\n".join(lines)
 
 

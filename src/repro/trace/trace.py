@@ -113,6 +113,15 @@ class Trace:
     def total_transactions(self) -> int:
         return sum(len(t) for t in self.threads)
 
+    @property
+    def total_ops(self) -> int:
+        """Engine-visible op count: each transaction's ops plus its
+        implicit ``Tx_begin``/``Tx_end`` markers.  A crash plan's
+        ``at_op`` ranges over ``0..total_ops`` inclusive."""
+        return sum(
+            len(tx.ops) + 2 for thread in self.threads for tx in thread.transactions
+        )
+
     def all_transactions(self) -> Iterator[Transaction]:
         for thread in self.threads:
             yield from thread

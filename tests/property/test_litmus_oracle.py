@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.common.config import SystemConfig
 from repro.designs.scheme import SchemeRegistry
 from repro.harness.executor import execute_cell
-from repro.harness.litmus import LITMUS_SCHEMES, judge_cell, litmus_cell
+from repro.harness.litmus import judge_cell, litmus_cell
 from repro.litmus.oracle import check_litmus
 from repro.litmus.patterns import enumerate_patterns
 from repro.sim.crash import CrashPlan
@@ -38,7 +38,7 @@ class TestOracleAgreementOnPatterns:
     @_SETTINGS
     @given(
         index=st.integers(0, len(_PATTERNS) - 1),
-        scheme=st.sampled_from(LITMUS_SCHEMES),
+        scheme=st.sampled_from(SchemeRegistry.names()),
         fraction=st.floats(0, 1),
     )
     def test_verdicts_agree_at_every_crash_point(
@@ -75,10 +75,7 @@ class TestOracleAgreementOnSyntheticTraces:
     )
     def test_verdicts_agree_on_random_traces(self, p, scheme, fraction):
         trace = synthetic_trace(SyntheticTraceConfig(arena_words=32, **p))
-        total_ops = sum(
-            len(tx.ops) + 2 for th in trace.threads for tx in th.transactions
-        )
-        at_op = min(int(fraction * (total_ops + 1)), total_ops)
+        at_op = min(int(fraction * (trace.total_ops + 1)), trace.total_ops)
         system = System(SystemConfig.table2(p["threads"]))
         engine = TransactionEngine(
             system,

@@ -154,15 +154,38 @@ class TestResilienceFlags:
         assert "--fresh" in capsys.readouterr().err
 
     def test_legacy_resume_contradicts_fresh(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
+        assert (
             main(["faultsweep", "--smoke", "--resume", "--fresh"])
-        assert excinfo.value.code == EXIT_USAGE
+            == EXIT_USAGE
+        )
         assert "--fresh" in capsys.readouterr().err
 
-    def test_legacy_resume_is_faultsweep_only(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["crashtest", "--resume"])
-        assert excinfo.value.code == EXIT_USAGE
+    def test_crashtest_resumes_an_interrupted_campaign(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # SIGINT lands after the fourth cell: exit 130, settled cells
+        # stored.  A --resume run serves them and runs only the rest.
+        original = executor_module.execute_cell
+        calls = []
+
+        def interrupted(spec):
+            calls.append(spec)
+            if len(calls) > 4:
+                raise KeyboardInterrupt
+            return original(spec)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(executor_module, "execute_cell", interrupted)
+        argv = ["crashtest", "--crash-points", "1", "--jobs", "1"]
+        assert main(argv) == EXIT_INTERRUPTED
+        assert (tmp_path / "repro-cache" / "crashtest.partial.json").exists()
+        monkeypatch.setattr(executor_module, "execute_cell", original)
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "campaign: 24 cells, 4 cached" in out
+        assert not (tmp_path / "repro-cache" / "crashtest.partial.json").exists()
+        assert json.loads((tmp_path / "CRASHTEST.json").read_text())["passed"]
 
     def test_exp_bad_cell_timeout(self, capsys):
         assert (

@@ -86,6 +86,24 @@ class TestTrace:
     def test_mean_write_size(self):
         assert self.make().mean_write_size_bytes() == 12.0  # (8 + 16) / 2
 
+    def test_total_ops_counts_ops_and_markers(self):
+        # (1 store + begin + end) + (2 stores + begin + end)
+        assert self.make().total_ops == 7
+        assert Trace([], name="empty").total_ops == 0
+
+    def test_total_ops_is_the_last_crash_point(self):
+        """``at_op == total_ops`` is the end-boundary crash the engine
+        fires; one past it is a plan that can never fire."""
+        from repro.common.errors import SimulationError
+        from repro.sim.crash import CrashPlan
+        from repro.sim.engine import run_trace
+
+        trace = self.make()
+        result = run_trace(trace, "silo", crash_plan=CrashPlan(at_op=trace.total_ops))
+        assert result.crashed
+        with pytest.raises(SimulationError, match="never fired"):
+            run_trace(trace, "silo", crash_plan=CrashPlan(at_op=trace.total_ops + 1))
+
     def test_touched_words_includes_initial_image(self):
         words = set(self.make().touched_words())
         assert words == {0x1000, 0x2000, 0x2008}
