@@ -84,7 +84,6 @@ _EXPERIMENTS = {
         seed=args.seed,
         executor=ex,
         output=args.output,
-        trace_output=args.trace_output,
     ),
     "faultsweep": lambda args, ex: faultsweep.run(
         points_per_pair=args.crash_points,
@@ -98,7 +97,6 @@ _EXPERIMENTS = {
         smoke=args.smoke,
         executor=ex,
         output=args.output,
-        trace_output=args.trace_output,
     ),
     "trace": lambda args, ex: tracecmd.run(
         scheme=args.scheme,
@@ -227,9 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-output",
         default=None,
-        help="crashtest/faultsweep/litmus: also write a Chrome/Perfetto "
-        "trace of one representative crashed cell (the first faulted "
-        "one, if any), crash and recovery events included",
+        help="faultsweep only: also write a Chrome/Perfetto trace of "
+        "one representative faulted cell (crash + recovery events)",
     )
     parser.add_argument(
         "--spec",
@@ -385,18 +382,6 @@ def _build_executor(args, progress: bool = True):
     return executor, cache
 
 
-def _footer(name: str, started: float, executor: Executor, before) -> str:
-    """One campaign's closing line.  The executor's stats are lifetime
-    totals, so the caller passes a copy taken when the campaign began."""
-    stats = executor.stats
-    return (
-        f"[{name} completed in {time.time() - started:.1f}s; "
-        f"campaign: {stats.cells - before.cells} cells, "
-        f"{stats.cache_hits - before.cache_hits} cached, "
-        f"{executor.jobs} jobs]\n"
-    )
-
-
 def _partial_manifest(cache: Optional[ResultCache], name: str) -> Optional[Path]:
     """Where an interrupted campaign's human-readable manifest goes:
     next to the store it resumes from (none without a cache)."""
@@ -494,8 +479,8 @@ def _exp_run(args) -> int:
             else overrides
         )
         started = time.time()
-        # The executor is shared across studies; the footer reports
-        # this study's share.
+        # The executor is shared across studies and its stats are
+        # lifetime totals; the footer reports this study's share.
         before = replace(executor.stats)
         try:
             result, campaign = run_campaign(
@@ -529,7 +514,13 @@ def _exp_run(args) -> int:
             continue
         print(render(result, args.fmt))
         if args.fmt == "report":
-            print(_footer(spec.name, started, executor, before))
+            stats = executor.stats
+            print(
+                f"[{spec.name} completed in {time.time() - started:.1f}s; "
+                f"campaign: {stats.cells - before.cells} cells, "
+                f"{stats.cache_hits - before.cache_hits} cached, "
+                f"{executor.jobs} jobs]\n"
+            )
     if args.fmt == "json" and json_docs:
         if len(json_docs) == 1 and not args.all:
             (payload,) = json_docs.values()
@@ -613,7 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"silo-repro: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.time()
-    before = replace(executor.stats)
     try:
         result = _EXPERIMENTS[name](args, executor)
     except CampaignInterrupted as exc:
@@ -632,7 +622,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     passed = getattr(result, "passed", True) is not False
     if not passed:
         print(f"[{name} FAILED: oracle violations]", file=sys.stderr)
-    print(_footer(name, started, executor, before))
+    stats = executor.stats
+    print(
+        f"[{name} completed in {time.time() - started:.1f}s; "
+        f"campaign: {stats.cells} cells, {stats.cache_hits} cached, "
+        f"{executor.jobs} jobs]\n"
+    )
     return EXIT_OK if passed else EXIT_FAILURE
 
 

@@ -36,17 +36,8 @@ def run(
     seed: int = 0,
     executor: Optional[Executor] = None,
     output: Optional[str] = None,
-    trace_output: Optional[str] = None,
 ) -> CampaignResult:
     """Sweep ``points_per_pair`` crash points over every (design,
-    workload) pair; ``output`` writes the JSON report and
-    ``trace_output`` a Chrome trace of the first cell."""
+    workload) pair; ``output`` writes the JSON report."""
     sources = random_sources(workloads, points_per_pair, threads, transactions, seed)
-    return run_campaign(
-        PRESET,
-        sources,
-        schemes,
-        executor=executor,
-        output=output,
-        trace_output=trace_output,
-    )
+    return run_campaign(PRESET, sources, schemes, executor=executor, output=output)

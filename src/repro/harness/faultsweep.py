@@ -14,14 +14,12 @@ without reporting), always.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.harness.executor import Executor
 from repro.harness.verify import (
-    CLEAN,
     RANDOM_DESIGNS,
     CampaignResult,
-    FaultPreset,
     Preset,
     random_sources,
     run_campaign,
@@ -31,7 +29,8 @@ from repro.obs import ObsConfig
 #: Fault presets rotated across crash points.  ``clean`` keeps a
 #: no-fault control in every campaign so clean-crash behaviour is
 #: continuously pinned against the fault machinery.
-FAULT_PRESETS: Tuple[FaultPreset, ...] = CLEAN + (
+FAULT_PRESETS: Tuple[Tuple[str, Optional[Dict[str, object]]], ...] = (
+    ("clean", None),
     ("tear", {"tear_prob": 0.7}),
     ("drop", {"drop_prob": 0.7}),
     ("logflip", {"log_bitflips": 2}),

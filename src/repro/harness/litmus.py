@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 from repro.designs.scheme import SchemeRegistry
 from repro.harness.executor import CellSpec, Executor, WorkloadSpec, execute_cell
 from repro.harness.verify import (
+    ORACLES,
     CampaignResult,
     Point,
     Preset,
@@ -48,7 +49,7 @@ def pattern_spec(pattern: Pattern) -> WorkloadSpec:
 
 def pattern_source(pattern: Pattern) -> Source:
     """One pattern with every one of its crash points."""
-    return Source(pattern.key, pattern.family, pattern_spec(pattern), every_point(pattern.total_ops))
+    return Source(pattern.key, pattern_spec(pattern), every_point(pattern.total_ops))
 
 
 def litmus_cell(pattern: Pattern, scheme: str, at_op: int) -> CellSpec:
@@ -60,6 +61,13 @@ def judge_cell(pattern: Pattern, outcome) -> LitmusVerdict:
     """Apply the declarative oracle to one completed cell."""
     trace = lower_pattern(pattern)
     return check_litmus(trace, outcome.result.committed, outcome.image)
+
+
+# The shared judge runs this oracle on every pattern cell and
+# cross-checks it against the exact one.
+ORACLES["litmus"] = lambda outcome: judge_cell(
+    decode_pattern(dict(outcome.spec.workload.kwargs)["pattern"]), outcome
+)
 
 
 def _exhaustive_fail_point(pattern: Pattern, scheme: str) -> Optional[int]:
@@ -98,15 +106,13 @@ def run(
     output: Optional[str] = None,
     shrink: bool = True,
     max_patterns: Optional[int] = None,
-    trace_output: Optional[str] = None,
 ) -> CampaignResult:
     """Run one exhaustive litmus campaign over ``schemes`` (default:
     every registered design).
 
     ``smoke`` selects the CI-sized pattern catalog (still well over
     500 cells); ``max_patterns`` further truncates the catalog (test
-    hook).  ``output`` writes the JSON report and ``trace_output`` a
-    Chrome trace of the first cell.  ``shrink=False`` skips
+    hook).  ``output`` writes the JSON report.  ``shrink=False`` skips
     minimization (the raw violations and their replay commands are
     still reported).
     """
@@ -117,6 +123,5 @@ def run(
         SchemeRegistry.names() if schemes is None else schemes,
         executor=executor,
         output=output,
-        trace_output=trace_output,
         shrink=shrink,
     )

@@ -5,8 +5,9 @@ cell a failing crashtest, faultsweep or litmus campaign printed (same
 workload recipe, scheme, crash point and fault plan) in the calling
 process, then prints the full verdict: recovery report,
 injected/reported fault accounting, oracle mismatches.  The verdict is
-the campaign's own :func:`repro.harness.verify.judge`, so a failure is
-reproducible without re-running the campaign.
+the campaign's own :func:`repro.harness.verify.judge` (with the litmus
+oracle registered), so a failure is reproducible without re-running the
+campaign.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.harness.executor import (
     cell_spec_from_json,
     execute_cell,
 )
+from repro.harness import litmus  # noqa: F401  (registers its oracle)
 from repro.harness.verify import judge
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.designs.scheme import SchemeRegistry
 from repro.faults.plan import FaultPlan
@@ -43,7 +43,6 @@ from repro.harness.executor import (
     repro_command,
 )
 from repro.harness.report import format_table
-from repro.litmus.patterns import decode_pattern
 from repro.obs import ObsConfig
 from repro.obs.export import write_chrome_trace
 from repro.sim.crash import CrashPlan
@@ -55,10 +54,6 @@ from repro.sim.crash import CrashPlan
 RANDOM_DESIGNS: Tuple[str, ...] = tuple(
     name for name in SchemeRegistry.names() if name != "swlog"
 )
-
-#: ``(name, FaultPlan keyword arguments)``; ``None`` is a clean crash.
-FaultPreset = Tuple[str, Optional[Dict[str, object]]]
-CLEAN: Tuple[FaultPreset, ...] = (("clean", None),)
 
 #: Minimize at most this many distinct failing (design, source) pairs
 #: per campaign: one minimized cell per bug is what a regression test
@@ -76,11 +71,10 @@ class Point(NamedTuple):
 
 
 class Source(NamedTuple):
-    """One program a campaign crashes (a workload, or a litmus pattern
-    keyed by its name), grouped into ``family`` in the report."""
+    """One program a campaign crashes: a workload, or a litmus pattern
+    keyed by its name."""
 
     name: str
-    family: str
     workload: WorkloadSpec
     points: Tuple[Point, ...]
 
@@ -91,10 +85,11 @@ def random_sources(
     threads: int,
     transactions: int,
     seed: int,
-    faults: Sequence[FaultPreset] = CLEAN,
+    faults: Sequence[Tuple[str, Optional[Dict[str, object]]]] = (("clean", None),),
 ) -> List[Source]:
     """``count`` seeded crash points per workload, rotating through
-    ``faults``.  The draw order is part of every random campaign's cell
+    ``faults``, ``(name, FaultPlan keyword arguments)`` pairs where
+    ``None`` is a clean crash.  The draw order is part of every random campaign's cell
     set: crash point, then the fault seed of a faulted point."""
     rng = random.Random(seed)
     sources = []
@@ -116,7 +111,7 @@ def random_sources(
             if kwargs is not None:
                 fault = FaultPlan(seed=rng.randrange(1 << 30), **kwargs)
             points.append(Point(label, crash, preset, fault))
-        sources.append(Source(name, name, workload, tuple(points)))
+        sources.append(Source(name, workload, tuple(points)))
     return sources
 
 
@@ -156,10 +151,11 @@ class Verdict(NamedTuple):
     """One completed cell, judged.
 
     ``kind`` is ``ok``, ``violation`` (a mismatch no injected fault
-    explains), ``silent`` (injected damage recovery did not report) or
-    the litmus oracle's kind.  ``disagreement`` is set when the
-    declarative and the exact oracle differ on a pattern cell: a bug
-    in a checker, which fails the cell even when ``kind`` is ``ok``.
+    explains), ``silent`` (only injected damage recovery did not
+    report; ``silent`` is also set on a violation that has it) or a
+    workload oracle's kind.  ``disagreement`` is set when a workload
+    oracle and the exact oracle differ: a bug in a checker, which
+    fails the cell even when ``kind`` is ``ok``.
     """
 
     kind: str = "ok"
@@ -172,19 +168,26 @@ class Verdict(NamedTuple):
         return self.kind == "ok" and not self.disagreement
 
 
+#: Workload name -> declarative oracle of a cell that captured its
+#: recovered image; the verdict it returns has ``ok``, ``kind`` and a
+#: text form.  A preset with such an oracle registers it on import.
+ORACLES: Dict[str, Callable[[CellOutcome], Any]] = {}
+
+
 def judge(outcome: CellOutcome) -> Verdict:
     """The fault-aware verdict when the cell carries a fault plan, the
-    exact oracle's mismatches otherwise, and for a litmus pattern cell
-    the declarative oracle cross-checked against the exact one."""
+    exact oracle's mismatches otherwise, and where the workload has a
+    declarative oracle, its verdict cross-checked against the exact
+    one."""
     fault = outcome.fault_verdict
     if fault is not None:
         if fault.ok:
             return Verdict()
-        kind = "silent" if fault.silent else "violation"
+        kind = "violation" if fault.unattributed else "silent"
         return Verdict(kind, fault.describe(), silent=bool(fault.silent))
     exact = outcome.mismatches or []
-    spec = outcome.spec
-    if spec.workload.name != "litmus" or outcome.image is None:
+    oracle = ORACLES.get(outcome.spec.workload.name)
+    if oracle is None or outcome.image is None:
         if not exact:
             return Verdict()
         addr, got, want = exact[0]
@@ -193,12 +196,7 @@ def judge(outcome: CellOutcome) -> Verdict:
             f"{len(exact)} mismatch(es), first at {addr:#x}: "
             f"got {got:#x}, want {want:#x}",
         )
-    # The litmus preset owns the declarative oracle and imports this
-    # module, so it is looked up at call time.
-    from repro.harness import litmus
-
-    pattern = decode_pattern(dict(spec.workload.kwargs)["pattern"])
-    declared = litmus.judge_cell(pattern, outcome)
+    declared = oracle(outcome)
     disagreement = ""
     if declared.ok == bool(exact):
         disagreement = (
@@ -209,8 +207,9 @@ def judge(outcome: CellOutcome) -> Verdict:
 
 
 class Tally(NamedTuple):
-    """Cells, failing cells and silently corrupted cells of one design
-    or family."""
+    """Cells, violating cells and silently corrupted cells of one
+    design or family; a cell with only silent damage counts once, as
+    silent."""
 
     cells: int = 0
     violations: int = 0
@@ -219,7 +218,7 @@ class Tally(NamedTuple):
     def add(self, verdict: Verdict) -> "Tally":
         return Tally(
             self.cells + 1,
-            self.violations + (verdict.kind != "ok"),
+            self.violations + (verdict.kind not in ("ok", "silent")),
             self.silent + verdict.silent,
         )
 
@@ -234,9 +233,11 @@ class CampaignResult:
     sources: int = 0
     cells: int = 0
     per_scheme: Dict[str, Tally] = field(default_factory=dict)
-    #: Per workload (random presets) or pattern family (litmus).
+    #: Per workload, or per pattern family (the part of a litmus
+    #: pattern's name before its ``/``).
     per_family: Dict[str, Tally] = field(default_factory=dict)
-    #: One record per cell whose verdict failed, with its replay command.
+    #: One record per cell whose verdict failed (silent ones too), with
+    #: its replay command.
     violations: List[Dict[str, object]] = field(default_factory=list)
     #: Pattern cells where the two oracles disagreed (a checker bug).
     disagreements: List[str] = field(default_factory=list)
@@ -269,7 +270,7 @@ class CampaignResult:
 
     def format_report(self) -> str:
         rows = [
-            [scheme, *tally, "FAIL" if tally.violations else "PASS"]
+            [scheme, *tally, "FAIL" if tally.violations or tally.silent else "PASS"]
             for scheme, tally in sorted(self.per_scheme.items())
         ]
         lines = [
@@ -364,8 +365,8 @@ def run_campaign(
         verdict = judge(outcome)
         result.cells += 1
         result.per_scheme[scheme] = result.per_scheme.get(scheme, Tally()).add(verdict)
-        family = result.per_family.get(source.family, Tally())
-        result.per_family[source.family] = family.add(verdict)
+        family = source.name.partition("/")[0]
+        result.per_family[family] = result.per_family.get(family, Tally()).add(verdict)
         fault = outcome.fault_verdict
         if fault is not None:
             for totals, counts in ((result.injected, fault.injected), (result.reported, fault.reported)):

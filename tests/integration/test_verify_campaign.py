@@ -7,13 +7,15 @@ its own ``test_<preset>_harness.py``.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.faults.oracle import FaultVerdict
 from repro.harness import crashtest, faultsweep, litmus, replay
 from repro.harness.cli import main
 from repro.harness.executor import Executor, cell_spec_to_json
-from repro.harness.verify import RANDOM_DESIGNS
+from repro.harness.verify import RANDOM_DESIGNS, Tally, judge
 from repro.litmus.oracle import LitmusVerdict
 from repro.litmus.patterns import decode_pattern
 
@@ -37,6 +39,13 @@ PRESETS = {
         dict(smoke=True, max_patterns=2, schemes=("base", "silo")),
         ("PASS", "silo", "Persistency-model litmus sweep"),
     ),
+}
+
+#: Per preset: ``(campaign kwargs, jobs)`` of the serial/parallel check.
+PARALLEL = {
+    "crashtest": (PRESETS["crashtest"][1], 2),
+    "faultsweep": (dict(seed=3, smoke=True, schemes=("base", "silo")), 4),
+    "litmus": (PRESETS["litmus"][1], 2),
 }
 
 #: Per preset: the CLI smoke invocation and its report title.
@@ -74,11 +83,12 @@ def test_deterministic_for_seed(preset):
     assert a.to_json_dict() == b.to_json_dict()
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("preset", sorted(PARALLEL))
 def test_parallel_matches_serial(preset):
-    run, kwargs, _ = PRESETS[preset]
+    run = PRESETS[preset][0]
+    kwargs, jobs = PARALLEL[preset]
     serial = run(**kwargs)
-    with Executor(jobs=2) as executor:
+    with Executor(jobs=jobs) as executor:
         parallel = run(executor=executor, **kwargs)
     assert serial.cells == parallel.cells
     assert serial.injected == parallel.injected
@@ -115,6 +125,25 @@ def test_cli_output_flag_names_the_report(capsys, tmp_path, monkeypatch):
     assert main(argv + ["--output", str(out)]) == 0
     assert json.loads(out.read_text())["cells"] == 2 * len(RANDOM_DESIGNS)
     assert not (tmp_path / "CRASHTEST.json").exists()
+
+
+@pytest.mark.parametrize(
+    "unattributed, silent, kind, tally",
+    [
+        ([], [], "ok", Tally(1, 0, 0)),
+        ([], ["torn"], "silent", Tally(1, 0, 1)),
+        ([(0x40, 1, 2)], [], "violation", Tally(1, 1, 0)),
+        ([(0x40, 1, 2)], ["torn"], "violation", Tally(1, 1, 1)),
+    ],
+)
+def test_fault_verdicts_count_once_per_outcome(unattributed, silent, kind, tally):
+    """A faulted cell with only silent damage counts as silent, not as a
+    violation; one with an unattributed mismatch counts as a violation,
+    and also as silent when it has both."""
+    fault = FaultVerdict(unattributed=unattributed, silent=silent)
+    verdict = judge(SimpleNamespace(fault_verdict=fault))
+    assert verdict.kind == kind
+    assert Tally().add(verdict) == tally
 
 
 def test_random_designs_are_the_registry_but_swlog():
