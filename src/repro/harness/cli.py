@@ -101,8 +101,8 @@ _EXPERIMENTS = {
     "trace": lambda args, ex: tracecmd.run(
         scheme=args.scheme,
         workload=args.workload,
-        transactions=min(args.transactions, 100),
-        output=args.trace_out,
+        transactions=args.transactions,
+        output=args.output,
         executor=ex,
     ),
 }
@@ -172,6 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silo-repro",
         parents=[_executor_flags()],
+        # No prefix matching: a removed flag such as --trace-out must be
+        # rejected, not read as an abbreviation of --trace-output.
+        allow_abbrev=False,
         description="Reproduce the Silo paper (HPCA 2023) on the "
         "trace-driven simulator.  'silo-repro exp list|run' regenerates "
         "its tables and figures; the commands below validate, trace "
@@ -198,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--transactions",
         type=int,
-        default=200,
-        help="trace only: transactions per thread, capped at 100 "
-        "(default 200)",
+        default=tracecmd.DEFAULT_TRANSACTIONS,
+        help="trace only: transactions per thread (default: "
+        f"{tracecmd.DEFAULT_TRANSACTIONS})",
     )
     parser.add_argument(
         "--crash-points",
@@ -219,8 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         default=None,
-        help="crashtest/faultsweep/litmus/chaos: where to write the "
-        "JSON report (default: the command's name, e.g. LITMUS.json)",
+        help="where to write the JSON report (crashtest/faultsweep/"
+        "litmus/chaos) or the Chrome trace (trace; with --scheme all the "
+        "scheme name is appended per file); default: the command's name, "
+        "e.g. LITMUS.json or TRACE.json",
     )
     parser.add_argument(
         "--trace-output",
@@ -251,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=tracecmd.DEFAULT_WORKLOAD,
         help="trace only: workload to trace (default: "
         f"{tracecmd.DEFAULT_WORKLOAD})",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default="TRACE.json",
-        help="trace only: output file; with --scheme all the scheme "
-        "name is appended per file (default: TRACE.json)",
     )
     return parser
 

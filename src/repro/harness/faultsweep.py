@@ -48,7 +48,7 @@ PRESET = Preset(
 def run(
     workloads: Sequence[str] = ("hash", "btree"),
     schemes: Sequence[str] = RANDOM_DESIGNS,
-    points_per_pair: int = 12,
+    points_per_pair: int = 20,
     threads: int = 2,
     transactions: int = 8,
     seed: int = 0,

@@ -62,11 +62,7 @@ class TestDrainEndCycle:
 
     def test_crashed_end_omits_drain(self):
         trace = _make_trace()
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         crash = CrashPlan(at_op=total_ops - 1)
         engine, result = _run(TransactionEngine, trace, crash_plan=crash)
         assert result.crashed
@@ -77,11 +73,7 @@ class TestDrainEndCycle:
 
     def test_engines_agree_on_both_paths(self):
         trace = _make_trace()
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         for crash_plan in (None, CrashPlan(at_op=total_ops - 1)):
             _, exact = _run(TransactionEngine, trace, crash_plan)
             _, columnar = _run(ColumnarEngine, trace, crash_plan)

@@ -44,9 +44,7 @@ def test_mid_run_crash_correctness(traces, workload):
     from repro.sim.crash import CrashPlan
 
     trace = traces[workload]
-    total_ops = sum(
-        len(tx.ops) + 2 for th in trace.threads for tx in th.transactions
-    )
+    total_ops = trace.total_ops
     system = System(SystemConfig.table2(2))
     engine = TransactionEngine(
         system,

@@ -9,6 +9,7 @@ from repro.sim.engine import TransactionEngine, run_trace
 from repro.sim.system import System
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.trace.trace import ThreadTrace, Trace, Transaction
+from repro.workloads import build_workload
 
 
 def trace_with(write_set=8, txs=30, threads=1, **kwargs):
@@ -93,6 +94,15 @@ class TestSiloOverflow:
         trace = trace_with(write_set=80, txs=10)
         _, result = run("silo", trace)
         assert result.committed_count == 10
+
+    def test_smaller_log_buffer_overflows_more(self):
+        trace = build_workload("rbtree", threads=1, transactions=30)
+        tiny = SystemConfig.table2(1).with_log_buffer(entries=5)
+        _, small = run("silo", trace, config=tiny)
+        _, normal = run("silo", trace)
+        assert small.stats.get("silo.overflows", 0) > normal.stats.get(
+            "silo.overflows", 0
+        )
 
     def test_overflow_logs_discarded_after_commit(self):
         trace = trace_with(write_set=50, txs=10)

@@ -44,9 +44,7 @@ def run_crashed(scheme, params, crash_fraction):
     trace = synthetic_trace(
         SyntheticTraceConfig(arena_words=128, loads_per_store=0.2, **params)
     )
-    total_ops = sum(
-        len(tx.ops) + 2 for thread in trace.threads for tx in thread.transactions
-    )
+    total_ops = trace.total_ops
     # ``at_op == total_ops`` is the end-boundary crash (fires after the
     # last op retires, before the clean drain): atomic durability must
     # hold there too, so the clamp includes it.

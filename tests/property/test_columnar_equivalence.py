@@ -205,11 +205,7 @@ class TestColumnarCrashDelegation:
                 arena_words=128, loads_per_store=0.2, **params
             )
         )
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         at_op = min(int(crash * total_ops), total_ops - 1)
         engine = assert_bit_identical(
             scheme, params, crash_plan=CrashPlan(at_op=at_op)

@@ -75,9 +75,7 @@ class TestAccounting:
         total_ops`` is the well-defined end-boundary crash and does
         fire — see TestCrashBoundaries.)"""
         trace = synthetic_trace(SyntheticTraceConfig(arena_words=64, **p))
-        total_ops = sum(
-            len(tx.ops) + 2 for th in trace.threads for tx in th.transactions
-        )
+        total_ops = trace.total_ops
         system = System(SystemConfig.table2(p["threads"]))
         engine = TransactionEngine(
             system,
@@ -119,9 +117,7 @@ class TestCrashBoundaries:
         from repro.sim.verify import check_atomic_durability
 
         probe = synthetic_trace(SyntheticTraceConfig(arena_words=64, **p))
-        total_ops = sum(
-            len(tx.ops) + 2 for th in probe.threads for tx in th.transactions
-        )
+        total_ops = probe.total_ops
         trace, system, result = run(scheme, p, crash_at=total_ops)
         assert result.crashed
         assert result.committed_count == trace.total_transactions

@@ -57,9 +57,7 @@ def run_faulted(scheme, params, crash_fraction, fault_kwargs):
     trace = synthetic_trace(
         SyntheticTraceConfig(arena_words=128, loads_per_store=0.2, **params)
     )
-    total_ops = sum(
-        len(tx.ops) + 2 for thread in trace.threads for tx in thread.transactions
-    )
+    total_ops = trace.total_ops
     at_op = min(int(crash_fraction * total_ops), total_ops - 1)
     system = System(SystemConfig.table2(max(params["threads"], 1)))
     engine = TransactionEngine(
@@ -113,11 +111,7 @@ class TestNoFaultEquivalence:
         trace_b = synthetic_trace(
             SyntheticTraceConfig(arena_words=128, loads_per_store=0.2, **params)
         )
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace_b.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace_b.total_ops
         at_op = min(int(crash * total_ops), total_ops - 1)
         sys_b = System(SystemConfig.table2(max(params["threads"], 1)))
         engine = TransactionEngine(

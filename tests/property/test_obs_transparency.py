@@ -43,11 +43,7 @@ def run_once(scheme, params, crash_fraction, obs):
     )
     crash_plan = None
     if crash_fraction is not None:
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         crash_plan = CrashPlan(
             at_op=min(int(crash_fraction * total_ops), total_ops - 1)
         )

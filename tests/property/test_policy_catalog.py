@@ -105,11 +105,7 @@ class TestPolicyCrossProduct:
         trace = synthetic_trace(
             SyntheticTraceConfig(arena_words=128, loads_per_store=0.2, **params)
         )
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         at_op = min(int(crash * total_ops), total_ops)
         system, result = _run_crashed(
             combo, trace, max(params["threads"], 1), at_op
@@ -136,11 +132,7 @@ class TestPolicyCrossProduct:
                 seed=7,
             )
         )
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         for combo in ALL_COMBOS:
             for at_op in range(total_ops + 1):
                 system, result = _run_crashed(combo, trace, 2, at_op)
@@ -196,11 +188,7 @@ class TestRegisteredCatalogEntries:
         trace = synthetic_trace(
             SyntheticTraceConfig(arena_words=128, loads_per_store=0.2, **params)
         )
-        total_ops = sum(
-            len(tx.ops) + 2
-            for thread in trace.threads
-            for tx in thread.transactions
-        )
+        total_ops = trace.total_ops
         at_op = min(int(crash * total_ops), total_ops)
         system = System(SystemConfig.table2(max(params["threads"], 1)))
         engine = TransactionEngine(

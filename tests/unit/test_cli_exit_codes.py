@@ -90,11 +90,14 @@ class TestUsageErrors:
             ["--bench-output", "BENCH.json"],
             ["--engine", "both"],
             ["--engine-output", "BENCH.json"],
+            ["--trace-out", "TRACE.json"],
         ],
     )
     def test_removed_bench_flags(self, flags):
-        # The bench-only flags went with ``bench``; a surviving tool
-        # command rejects them before running anything.
+        # The bench-only flags went with ``bench`` and trace's
+        # ``--trace-out`` folded into ``--output``; a surviving tool
+        # command rejects them before running anything (no prefix
+        # matching turns ``--trace-out`` into ``--trace-output``).
         with pytest.raises(SystemExit) as excinfo:
             main(["crashtest", *flags])
         assert excinfo.value.code == EXIT_USAGE

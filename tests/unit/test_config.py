@@ -1,5 +1,7 @@
 """Unit tests for repro.common.config (Table II)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
@@ -110,6 +112,24 @@ class TestSystemConfig:
         assert tweaked.log_buffer.entries == 50
         assert cfg.log_buffer.entries == 20  # original untouched
         assert tweaked.cores == cfg.cores
+
+    def test_with_log_buffer_validates_the_copy(self):
+        with pytest.raises(ConfigError, match="at least one entry"):
+            SystemConfig.table2().with_log_buffer(entries=0)
+
+    def test_with_log_buffer_rejects_unknown_field(self):
+        with pytest.raises(TypeError, match="entrees"):
+            SystemConfig.table2().with_log_buffer(entrees=40)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError):
+            replace(SystemConfig.table2(), cores=0)
+
+    def test_pm_write_latency_override_in_cycles(self):
+        cfg = SystemConfig.table2()
+        faster = replace(cfg, pm=replace(cfg.pm, write_ns=75.0))
+        assert faster.pm_write_cycles == 150
+        assert faster.pm_read_cycles == cfg.pm_read_cycles
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigError):

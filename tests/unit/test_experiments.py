@@ -3,10 +3,12 @@ registry, campaign bookkeeping, and the shared normalization helpers."""
 
 from __future__ import annotations
 
+import json
 from typing import List
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.harness.executor import CellSpec, Executor, WorkloadSpec
 from repro.harness.experiments import (
@@ -19,9 +21,15 @@ from repro.harness.experiments import (
     load_all,
     lower,
     normalize_series,
+    normalize_to,
+    render,
     run_campaign,
     run_experiment,
 )
+from repro.harness.experiments.presentation import GridResult
+from repro.harness.fig11 import Fig11Result
+from repro.sim.engine import run_trace
+from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
 
 def _toy_spec(**kw) -> ExperimentSpec:
@@ -211,3 +219,74 @@ class TestNormalizationHelpers:
 
         with pytest.raises(ConfigError, match="workload"):
             Fig4Result(write_sizes={}).average
+
+
+@pytest.fixture(scope="module")
+def synthetic_grid():
+    """One (workload, scheme) grid at two cores, built straight from
+    ``run_trace`` rather than through a campaign."""
+    trace = synthetic_trace(
+        SyntheticTraceConfig(
+            threads=2, transactions_per_thread=20, write_set_words=8,
+            arena_words=256, seed=44,
+        )
+    )
+    results = {
+        scheme: run_trace(trace, scheme=scheme, config=SystemConfig.table2(2))
+        for scheme in ("base", "morlog", "silo")
+    }
+    return GridResult(cores=2, results={"a": results, "b": results})
+
+
+class TestNormalizedGrid:
+    def test_grid_keeps_insertion_order(self, synthetic_grid):
+        assert synthetic_grid.workloads() == ["a", "b"]
+        assert synthetic_grid.schemes() == ["base", "morlog", "silo"]
+
+    def test_metric_reads_the_result_field(self, synthetic_grid):
+        silo = synthetic_grid.results["a"]["silo"]
+        assert synthetic_grid.metric("a", "silo", "media_writes") == float(
+            silo.media_writes
+        )
+
+    def test_baseline_row_is_identity(self, synthetic_grid):
+        normalized = normalize_to(synthetic_grid, "media_writes")
+        assert all(row["base"] == 1.0 for row in normalized.values())
+
+    def test_silo_halves_media_writes(self, synthetic_grid):
+        normalized = normalize_to(synthetic_grid, "media_writes")
+        assert normalized["a"]["silo"] < 0.5
+        assert normalized["a"]["silo"] < normalized["a"]["morlog"]
+
+    def test_silo_fastest_base_slowest(self, synthetic_grid):
+        speedup = normalize_to(synthetic_grid, "throughput_tx_per_sec")["a"]
+        assert max(speedup, key=speedup.get) == "silo"
+        assert min(speedup, key=speedup.get) == "base"
+
+    def test_missing_baseline_rejected(self, synthetic_grid):
+        with pytest.raises(ConfigError, match="'lad'"):
+            normalize_to(synthetic_grid, "media_writes", baseline="lad")
+
+    def test_average_is_the_arithmetic_mean(self):
+        averaged = add_average({"a": {"silo": 1.0}, "b": {"silo": 3.0}})
+        assert averaged["average"] == {"silo": 2.0}
+
+    def test_average_of_identical_workloads_equals_each(self, synthetic_grid):
+        normalized = add_average(normalize_to(synthetic_grid, "throughput_tx_per_sec"))
+        assert normalized["average"]["silo"] == pytest.approx(
+            normalized["a"]["silo"]
+        )
+
+    def test_csv_has_header_and_a_row_per_workload(self, synthetic_grid):
+        text = render(Fig11Result(grids={2: synthetic_grid}), "csv")
+        lines = text.strip().splitlines()
+        assert lines[0].startswith("# Fig. 11")
+        assert lines[1] == "workload,base,morlog,silo"
+        assert [line.split(",")[0] for line in lines[2:]] == ["a", "b", "average"]
+
+    def test_json_round_trips(self, synthetic_grid):
+        payload = json.loads(render(Fig11Result(grids={2: synthetic_grid}), "json"))
+        (table,) = payload["tables"]
+        assert table["title"].endswith("(2 core(s))")
+        assert table["headers"] == ["workload", "base", "morlog", "silo"]
+        assert len(table["rows"]) == 3

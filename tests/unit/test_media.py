@@ -1,7 +1,14 @@
 """Unit tests for the PM media model (data-comparison-write)."""
 
+import pytest
+
+from repro.common.config import SystemConfig
 from repro.common.stats import Stats
+from repro.designs.scheme import SchemeRegistry
 from repro.mem.media import PMMedia
+from repro.sim.engine import TransactionEngine
+from repro.sim.system import System
+from repro.workloads import build_workload
 
 
 def make_media():
@@ -87,3 +94,51 @@ class TestInspection:
         assert 0x1000 in media
         assert 0x1004 in media  # same word
         assert 0x1008 not in media
+
+
+class TestWearProfile:
+    def test_profile_counts_changed_sectors(self):
+        media = make_media()
+        media.write_line({0x1000: 1})
+        media.write_line({0x1000: 2})
+        media.write_line({0x2000: 3})
+        profile = media.wear_profile()
+        assert profile[0x1000] == 2
+        assert profile[0x2000] == 1
+
+    def test_redundant_writes_cost_no_wear(self):
+        media = make_media()
+        media.write_line({0x1000: 1})
+        media.write_line({0x1000: 1})
+        assert media.wear_profile()[0x1000] == 1
+
+    def test_load_image_causes_no_wear(self):
+        media = make_media()
+        media.load_image({0x1000: 5})
+        assert media.wear_profile() == {}
+
+    def test_profile_keys_are_sector_addresses(self):
+        media = make_media()
+        media.write_line({0x1008: 1, 0x1038: 2})
+        media.write_line({0x1040: 3})
+        assert media.wear_profile() == {0x1000: 1, 0x1040: 1}
+
+
+class TestWearAfterRun:
+    """The wear profile a whole run leaves behind (what
+    ``examples/endurance.py`` turns into relative PM lifetime)."""
+
+    def test_fresh_system_has_no_wear(self):
+        assert System(SystemConfig.table2(1)).pm.media.wear_profile() == {}
+
+    @pytest.mark.parametrize("scheme", ["base", "fwb", "morlog", "lad", "silo"])
+    def test_profile_total_matches_media_writes(self, scheme):
+        trace = build_workload("ycsb", threads=2, transactions=40)
+        system = System(SystemConfig.table2(2))
+        result = TransactionEngine(
+            system, SchemeRegistry.create(scheme, system), trace
+        ).run()
+        wear = sorted(system.pm.media.wear_profile().values(), reverse=True)
+        assert sum(wear) == result.media_writes > 0
+        assert wear[0] >= sum(wear) / len(wear)
+        assert all(addr % 64 == 0 for addr in system.pm.media.wear_profile())

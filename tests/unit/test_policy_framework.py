@@ -175,9 +175,7 @@ class TestMediaWaf:
         assert math.isnan(self.make_result(160, 0).media_waf)
 
     def test_export_serializes_nan_as_null(self):
-        from repro.analysis.export import result_to_dict
+        from repro.harness.experiments.presentation import json_cell
 
-        record = result_to_dict(self.make_result(160, 0))
-        assert record["media_waf"] is None
-        record = result_to_dict(self.make_result(160, 64))
-        assert record["media_waf"] == 2.5
+        assert json_cell(self.make_result(160, 0).media_waf) is None
+        assert json_cell(self.make_result(160, 64).media_waf) == 2.5

@@ -43,9 +43,7 @@ class TestMixedBuilders:
         trace = build_workload(
             name, threads=2, transactions=8, operation_mix="mixed"
         )
-        total_ops = sum(
-            len(tx.ops) + 2 for th in trace.threads for tx in th.transactions
-        )
+        total_ops = trace.total_ops
         for scheme in ("base", "lad", "silo"):
             for at in (0, total_ops // 3, 2 * total_ops // 3):
                 system = System(SystemConfig.table2(2))
